@@ -92,8 +92,12 @@ churn-smoke:
 # file, concatenated to 100k, against the 3-world example manifest at
 # --jobs 1 and --jobs 4; answers and evidence/v1 must be byte-identical
 # and every claim in the evidence file must hold (each world built
-# exactly once, every admitted query answered). Leg 2: a traced run
-# over the small demo queries whose trace/v1 must replay exactly.
+# exactly once, every admitted query answered). Leg 2: the same 10k
+# file against worlds of three different sizes (hypercube:14,
+# mesh2:32, torus2:64), so each domain's reused oracle and reveal
+# scratch moves between worlds; --jobs 1 and --jobs 4 must agree byte
+# for byte. Leg 3: a traced run over the small demo queries whose
+# trace/v1 must replay exactly.
 serve-smoke:
 	mkdir -p artifacts
 	for i in 1 2 3 4 5 6 7 8 9 10; do cat examples/serve/queries-10k.jsonl; done > artifacts/SERVE_queries_100k.jsonl
@@ -104,6 +108,11 @@ serve-smoke:
 	grep -q '"schema": "evidence/v1"' artifacts/SERVE_evidence_j1.json
 	grep -q '"worldpool.constructed": 3' artifacts/SERVE_metrics.json
 	dune exec bin/faultroute.exe -- evidence artifacts/SERVE_evidence_j1.json
+	dune exec bin/faultroute.exe -- serve --manifest examples/serve/session-sizes.json --queries examples/serve/queries-10k.jsonl --jobs 1 --out artifacts/SERVE_sizes_answers_j1.jsonl --evidence-out artifacts/SERVE_sizes_evidence_j1.json
+	dune exec bin/faultroute.exe -- serve --manifest examples/serve/session-sizes.json --queries examples/serve/queries-10k.jsonl --jobs 4 --out artifacts/SERVE_sizes_answers_j4.jsonl --evidence-out artifacts/SERVE_sizes_evidence_j4.json
+	cmp artifacts/SERVE_sizes_answers_j1.jsonl artifacts/SERVE_sizes_answers_j4.jsonl
+	cmp artifacts/SERVE_sizes_evidence_j1.json artifacts/SERVE_sizes_evidence_j4.json
+	dune exec bin/faultroute.exe -- evidence artifacts/SERVE_sizes_evidence_j1.json
 	dune exec bin/faultroute.exe -- serve --manifest examples/serve/session.json --queries examples/serve/queries.jsonl --trace artifacts/SERVE_trace.jsonl > /dev/null
 	head -1 artifacts/SERVE_trace.jsonl | grep -q '"schema": "trace/v1"'
 	dune exec bin/faultroute.exe -- trace artifacts/SERVE_trace.jsonl

@@ -5,8 +5,6 @@ let route_with_order neighbor_order oracle ~target =
       let world = Percolation.Oracle.world oracle in
       let g = Percolation.World.graph world in
       let source = Percolation.Oracle.source oracle in
-      let enqueued = Hashtbl.create 256 in
-      Hashtbl.replace enqueued source ();
       let queue = Queue.create () in
       Queue.push source queue;
       let result = ref None in
@@ -16,15 +14,16 @@ let route_with_order neighbor_order oracle ~target =
            let around = neighbor_order u (g.Topology.Graph.neighbors u) in
            Array.iter
              (fun v ->
+               (* Under [Local] the queued set is exactly the oracle's
+                  reached set: an open probe from a reached [u] reaches
+                  [v], and only then is [v] queued. *)
+               let fresh = not (Percolation.Oracle.reached oracle v) in
                if Percolation.Oracle.probe oracle u v then begin
                  if v = target then begin
                    result := Some (Percolation.Oracle.path_to oracle target);
                    raise Exit
                  end;
-                 if not (Hashtbl.mem enqueued v) then begin
-                   Hashtbl.replace enqueued v ();
-                   Queue.push v queue
-                 end
+                 if fresh then Queue.push v queue
                end)
              around
          done

@@ -15,7 +15,8 @@ exception Budget_exhausted
      a router's probes — touches exactly one cache line per probe.
      [pred.(v) = -1] means unreached; the source is its own predecessor,
      as in the Table path. [reached_rev] keeps the reached set
-     enumerable without scanning the whole array.
+     enumerable without scanning the whole array. Both arrays are
+     borrowed from per-domain scratch (see [scratch] below).
 
    Both flavours implement the same counting and locality semantics;
    equivalence is property-tested.
@@ -30,17 +31,49 @@ type table_store = {
   predecessor : (int, int) Hashtbl.t; (* reached vertex -> previous hop *)
 }
 
-type flat_store = {
+(* A [Flat] store's arrays are borrowed from a per-domain [scratch]
+   rather than allocated per oracle: an O(|V| + |E|) allocation per
+   [create] would otherwise dwarf a query's few dozen probes. The
+   scratch grows to the largest world seen on its domain and is clean
+   (pred all -1, memo all zero) between leases. Each [create] over a
+   cached world first cleans up after the previous lease, at a cost
+   bounded by that lease's own work:
+
+   - [pred] through the previous lease's [reached_rev];
+   - the memo through [log], which records a memo byte on its first
+     write (when it was still zero). Once the log would pass 1/8 of
+     the lease's memo bytes it is dropped ([log_n = -1]) and the next
+     lease clears the whole memo prefix instead — a memset of at most
+     8 bytes per logged write, and no log larger than 1/8 of the memo
+     on dense, probe-everything searches.
+
+   A lease ends when the next [create] on the domain starts; the
+   generation stamp makes any later use of the earlier handle raise. *)
+type scratch = {
+  mutable pred_buf : int array;
+  mutable memo_buf : Bytes.t;
+  mutable log : int array; (* memo bytes first written by the lease *)
+  mutable log_n : int; (* entries in [log]; -1 once the lease outgrew it *)
+  mutable log_cap : int; (* the lease's bound: memo bytes / 8 *)
+  mutable generation : int;
+  mutable lease : flat_store option;
+}
+
+and flat_store = {
   memo : Bytes.t;
       (* Two bits per edge id, packed four edges per byte: bit
          [2*(id mod 4)] = probed?, bit [2*(id mod 4) + 1] = memoised
-         state. *)
+         state. Borrowed from the scratch, so it may be longer than
+         [memo_len]; the tail stays zero. *)
+  memo_len : int; (* bytes this world's edge ids use *)
   pred : int array; (* vertex -> predecessor, -1 = unreached *)
   coin_bits : Bytes.t option;
       (* {!World.raw_open_bits} snapshot: when present (cached bond
          world, no overlay), a fresh probe's answer is bit [id] — no
          world call at all. Worlds are immutable, so caching it at
          [create] is sound. *)
+  scratch : scratch;
+  lease_gen : int; (* [scratch.generation] while this lease is live *)
   mutable reached_rev : int list;
   mutable reached_n : int;
 }
@@ -63,6 +96,65 @@ type t = {
 let bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        pred_buf = [||];
+        memo_buf = Bytes.empty;
+        log = [||];
+        log_n = 0;
+        log_cap = 0;
+        generation = 0;
+        lease = None;
+      })
+
+(* End the domain's current lease (cleaning what it wrote) and start a
+   new one sized for [vertices] and [memo_len]. *)
+let renew_lease s ~vertices ~memo_len =
+  (match s.lease with
+  | None -> ()
+  | Some f ->
+      List.iter (fun v -> Array.unsafe_set f.pred v (-1)) f.reached_rev;
+      if s.log_n < 0 then Bytes.fill f.memo 0 f.memo_len '\000'
+      else
+        for i = 0 to s.log_n - 1 do
+          Bytes.unsafe_set f.memo (Array.unsafe_get s.log i) '\000'
+        done;
+      s.lease <- None);
+  if Array.length s.pred_buf < vertices then
+    s.pred_buf <- Array.make vertices (-1);
+  if Bytes.length s.memo_buf < memo_len then
+    s.memo_buf <- Bytes.make memo_len '\000';
+  s.log_n <- 0;
+  s.log_cap <- memo_len / 8;
+  s.generation <- s.generation + 1
+
+(* Record memo byte [byte] on its first write. The log grows by
+   doubling up to [log_cap], so a domain's log settles at the size its
+   largest sparse lease needed. *)
+let log_first_write s byte =
+  let n = s.log_n in
+  if n >= 0 then
+    if n >= s.log_cap then s.log_n <- -1
+    else begin
+      if n = Array.length s.log then begin
+        let grown = Array.make (min s.log_cap (max 64 (2 * n))) 0 in
+        Array.blit s.log 0 grown 0 n;
+        s.log <- grown
+      end;
+      Array.unsafe_set s.log n byte;
+      s.log_n <- n + 1
+    end
+
+let stale () =
+  invalid_arg
+    "Oracle: stale handle (a later Oracle.create on this domain reclaimed its \
+     scratch)"
+
+let[@inline] live f = if f.lease_gen <> f.scratch.generation then stale ()
+
+let check t = match t.store with Flat f -> live f | Table _ -> ()
+
 let create ?(policy = Local) ?budget world ~source =
   (match budget with
   | Some b when b <= 0 -> invalid_arg "Oracle.create: budget must be positive"
@@ -71,16 +163,24 @@ let create ?(policy = Local) ?budget world ~source =
   let store =
     if World.cached world then begin
       let g = World.graph world in
-      let pred = Array.make g.Topology.Graph.vertex_count (-1) in
-      pred.(source) <- source;
-      Flat
+      let memo_len = (g.Topology.Graph.edge_id_bound + 3) / 4 in
+      let s = Domain.DLS.get scratch_key in
+      renew_lease s ~vertices:g.Topology.Graph.vertex_count ~memo_len;
+      s.pred_buf.(source) <- source;
+      let f =
         {
-          memo = Bytes.make ((g.Topology.Graph.edge_id_bound + 3) / 4) '\000';
-          pred;
+          memo = s.memo_buf;
+          memo_len;
+          pred = s.pred_buf;
           coin_bits = World.raw_open_bits world;
+          scratch = s;
+          lease_gen = s.generation;
           reached_rev = [ source ];
           reached_n = 1;
         }
+      in
+      s.lease <- Some f;
+      Flat f
     end
     else begin
       let predecessor = Hashtbl.create 64 in
@@ -99,35 +199,37 @@ let create ?(policy = Local) ?budget world ~source =
     raw = 0;
   }
 
-let world t = t.world
-let policy t = t.policy
-let source t = t.source
+let world t = check t; t.world
+let policy t = check t; t.policy
+let source t = check t; t.source
 
 let reached t v =
   match t.store with
   | Table { predecessor; _ } -> Hashtbl.mem predecessor v
-  | Flat { pred; _ } -> pred.(v) >= 0
+  | Flat f -> live f; f.pred.(v) >= 0
 
 let reached_count t =
   match t.store with
   | Table { predecessor; _ } -> Hashtbl.length predecessor
-  | Flat f -> f.reached_n
+  | Flat f -> live f; f.reached_n
 
 let reached_vertices t =
   match t.store with
   | Table { predecessor; _ } -> Hashtbl.fold (fun v _ acc -> v :: acc) predecessor []
-  | Flat f -> f.reached_rev
+  | Flat f -> live f; f.reached_rev
 
-let distinct_probes t = t.distinct
-let raw_probes t = t.raw
+let distinct_probes t = check t; t.distinct
+let raw_probes t = check t; t.raw
 
 let budget_remaining t =
+  check t;
   match t.budget with None -> None | Some b -> Some (b - t.distinct)
 
 let probed_find_opt t id =
   match t.store with
   | Table { probed_tbl; _ } -> Hashtbl.find_opt probed_tbl id
   | Flat f ->
+      live f;
       let b = Char.code (Bytes.unsafe_get f.memo (id lsr 2)) lsr (2 * (id land 3)) in
       if b land 1 <> 0 then Some (b land 2 <> 0) else None
 
@@ -194,6 +296,7 @@ let extend_table tb u v =
   | true, true | false, false -> ()
 
 let probe_flat t f u v =
+  live f;
   let id = t.eid u v in
   (match t.policy with
   | Unrestricted -> ()
@@ -224,6 +327,7 @@ let probe_flat t f u v =
       | Some bits when not (Atomic.get Obs.Timing.enabled) -> bit_get bits id
       | Some _ | None -> query_world t u v id
     in
+    if b = 0 then log_first_write f.scratch byte;
     Bytes.unsafe_set f.memo byte
       (Char.unsafe_chr (b lor ((if state then 3 else 1) lsl shift)));
     t.distinct <- t.distinct + 1;
@@ -274,11 +378,12 @@ let recount_distinct t =
   match t.store with
   | Table { probed_tbl; _ } -> Hashtbl.length probed_tbl
   | Flat f ->
+      live f;
       let table = Lazy.force byte_popcount in
       let count = ref 0 in
-      Bytes.iter
-        (fun c -> count := !count + table.(Char.code c land 0x55))
-        f.memo;
+      for i = 0 to f.memo_len - 1 do
+        count := !count + table.(Char.code (Bytes.unsafe_get f.memo i) land 0x55)
+      done;
       !count
 
 let predecessor_of t v =

@@ -20,7 +20,21 @@
     Probe memory and predecessor links are stored in flat bitsets/int
     arrays over cached worlds ({!World.cached}) and in Hashtbls over
     lazy worlds; the two stores have identical counting, locality and
-    path semantics (property-tested). *)
+    path semantics (property-tested).
+
+    {b Handle lifetime over cached worlds.} The flat arrays are not
+    allocated per oracle: each domain keeps one scratch, grown to the
+    largest world it has seen, and a cached-world oracle borrows it
+    until the next {!create} over a cached world on the same domain.
+    That [create] cleans up after the previous oracle, at a cost
+    bounded by the previous oracle's own probes rather than by [|V|],
+    and reclaims the scratch: from then on {e every} operation on the
+    earlier handle raises [Invalid_argument]. So a cached-world oracle
+    is used on the domain that created it, and only until the next
+    cached-world oracle is created there; copy out what outlives it
+    (the path, the counters) first. Oracles over lazy worlds own their
+    Hashtbls and are unaffected, as is any number of them alive at
+    once. *)
 
 type policy = Local | Unrestricted
 
@@ -35,7 +49,9 @@ type t
 
 val create : ?policy:policy -> ?budget:int -> World.t -> source:int -> t
 (** [create world ~source] is a fresh oracle. Default [policy] is
-    [Local]; [budget] (if given) caps distinct probes.
+    [Local]; [budget] (if given) caps distinct probes. Over a cached
+    world this ends the lease of the domain's previous cached-world
+    oracle (see above).
     @raise Invalid_argument if [budget <= 0] or the source is out of
     range. *)
 

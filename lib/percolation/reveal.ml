@@ -77,6 +77,53 @@ let bit_set b i =
 let bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+let bit_clear b i =
+  let j = i lsr 3 in
+  Bytes.unsafe_set b j
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b j) land lnot (1 lsl (i land 7))))
+
+(* Per-domain scratch behind the [Arena] engine and [ball_arena]: a
+   queue, a visited bitset and a distance array, grown to the largest
+   world seen on the domain and clean (visited all zero, dist all -1)
+   between calls. A call cleans up after itself through its queue
+   prefix, which lists every vertex it marked — so the cost is that of
+   the exploration, not of [|V|] — on every exit path, exceptions from
+   [stop]/[visit] included. [busy] guards the single lease: a re-entrant
+   call (from a [stop] or [visit] callback) would corrupt it. *)
+type scratch = {
+  mutable queue : int array;
+  mutable visited : Bytes.t;
+  mutable dist : int array;
+  mutable busy : bool;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { queue = [||]; visited = Bytes.empty; dist = [||]; busy = false })
+
+(* Run [body sc tail] on the domain's scratch, sized for [n] vertices;
+   [body] must record every vertex it marks in [sc.queue.(0 .. !tail-1)]
+   before marking it. *)
+let with_scratch n body =
+  let sc = Domain.DLS.get scratch_key in
+  if sc.busy then invalid_arg "Reveal: re-entrant arena exploration";
+  if Array.length sc.queue < n then begin
+    sc.queue <- Array.make n 0;
+    sc.visited <- Bytes.make ((n + 7) / 8) '\000';
+    sc.dist <- Array.make n (-1)
+  end;
+  sc.busy <- true;
+  let tail = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      for i = 0 to !tail - 1 do
+        let v = Array.unsafe_get sc.queue i in
+        bit_clear sc.visited v;
+        Array.unsafe_set sc.dist v (-1)
+      done;
+      sc.busy <- false)
+    (fun () -> body sc tail)
+
 let bfs_arena ?limit world start ~stop ~visit =
   let n = (World.graph world).Topology.Graph.vertex_count in
   (* Visited lives in a bitset (n bits, cache-resident) rather than an
@@ -86,20 +133,23 @@ let bfs_arena ?limit world start ~stop ~visit =
      level-boundary bookkeeping on the FIFO queue instead — the queue is
      level-ordered, so [depth] bumps exactly when [head] crosses the end
      of the previous level, and visit order is unchanged. *)
-  let visited = Bytes.make ((n + 7) / 8) '\000' in
+  with_scratch n @@ fun sc tail ->
+  let queue = sc.queue and visited = sc.visited in
+  queue.(0) <- start;
+  tail := 1;
   bit_set visited start;
   visit start 0;
   if stop start then `Stopped 0
   else begin
-    let queue = Array.make n 0 in
-    queue.(0) <- start;
-    let head = ref 0 and tail = ref 1 in
+    let head = ref 0 in
     let level_end = ref 1 and depth = ref 0 in
     let discovered = ref 1 in
     let truncated = ref false in
     let result = ref `Exhausted in
     (* [discover] is the one limit/stop/visit body both loop variants
-       share — allocated once per BFS, called directly per fresh vertex. *)
+       share — allocated once per BFS, called directly per fresh vertex.
+       The vertex is queued before it is marked, so cleanup sees it
+       whichever way the BFS ends. *)
     let discover v du1 =
       (* Limit convention: check before recording the fresh vertex. *)
       match limit with
@@ -107,15 +157,15 @@ let bfs_arena ?limit world start ~stop ~visit =
           truncated := true;
           raise Exit
       | Some _ | None ->
+          Array.unsafe_set queue !tail v;
+          incr tail;
           bit_set visited v;
           incr discovered;
           visit v du1;
           if stop v then begin
             result := `Stopped du1;
             raise Exit
-          end;
-          Array.unsafe_set queue !tail v;
-          incr tail
+          end
     in
     (try
        match World.adjacency_view world with
@@ -267,6 +317,8 @@ let bfs_bitset ?limit world start ~stop ~visit =
 type engine = Table | Arena | Bitset
 
 let bfs_via engine ?limit world start ~stop ~visit =
+  (* The engines index their arrays by [start] unchecked. *)
+  Topology.Graph.check_vertex (World.graph world) start;
   match engine with
   | Table -> bfs_table ?limit world start ~stop ~visit
   | Arena -> bfs_arena ?limit world start ~stop ~visit
@@ -395,11 +447,12 @@ let ball_table world v ~radius =
 
 let ball_arena world v ~radius =
   let n = (World.graph world).Topology.Graph.vertex_count in
-  let dist = Array.make n (-1) in
-  let queue = Array.make n 0 in
-  dist.(v) <- 0;
+  with_scratch n @@ fun sc tail ->
+  let dist = sc.dist and queue = sc.queue in
   queue.(0) <- v;
-  let head = ref 0 and tail = ref 1 in
+  tail := 1;
+  dist.(v) <- 0;
+  let head = ref 0 in
   while !head < !tail do
     let u = Array.unsafe_get queue !head in
     incr head;
@@ -407,9 +460,9 @@ let ball_arena world v ~radius =
     if du < radius then
       World.iter_open_neighbors world u (fun w ->
           if Array.unsafe_get dist w < 0 then begin
-            Array.unsafe_set dist w (du + 1);
             Array.unsafe_set queue !tail w;
-            incr tail
+            incr tail;
+            Array.unsafe_set dist w (du + 1)
           end)
   done;
   (* The queue prefix holds exactly the discovered vertices. *)

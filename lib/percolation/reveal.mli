@@ -29,8 +29,31 @@ type engine = Table | Arena | Bitset
     Production entry points pick automatically: [Table] for lazy
     worlds, [Arena] for cached worlds when visit order is observable
     (tracing on, a [limit] set, or an order-sensitive caller), [Bitset]
-    otherwise. [Arena] and [Bitset] allocate O(vertex count) and so
-    suit any graph small enough to index by vertex. *)
+    otherwise. [Arena] borrows its queue and visited set from a
+    per-domain scratch (grown to the largest world seen, cleaned
+    through the queue on every exit, exceptions included), so a limited
+    query costs in proportion to the vertices it visits; [Bitset]
+    allocates O(vertex count) per call. Both suit any graph small
+    enough to index by vertex. *)
+
+val bfs_via :
+  engine ->
+  ?limit:int ->
+  World.t ->
+  int ->
+  stop:(int -> bool) ->
+  visit:(int -> int -> unit) ->
+  [ `Stopped of int | `Truncated | `Exhausted_full ]
+(** The exploration primitive under every query, for tests: [visit v d]
+    runs for each discovered vertex (the start at [d = 0]), and the
+    search ends with [`Stopped d] as soon as [stop] holds for a
+    discovered vertex, [`Truncated] when a fresh vertex would pass
+    [limit], or [`Exhausted_full]. An exception from a hook propagates,
+    with the [Arena] scratch left clean.
+    @raise Invalid_argument if [start] is out of range, or if a hook
+    starts another [Arena]
+    exploration (or a {!ball} over a cached world) on the same
+    domain. *)
 
 val connected : ?limit:int -> World.t -> int -> int -> verdict
 (** [connected w u v] explores the open cluster of [u] breadth-first

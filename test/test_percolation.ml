@@ -1194,6 +1194,118 @@ let test_engines_limit_counts () =
     [ 1; 2; 7; 16; 1000 ]
 
 (* ------------------------------------------------------------------ *)
+(* Per-domain scratch                                                  *)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* A dirty visited bit hides its vertex from every later [Arena]
+   exploration on the domain, so full-cluster counts from every vertex
+   (and balls, and verdicts) must match the scratch-free [Table]
+   engine. *)
+let check_arena_clean label w =
+  let n = (P.World.graph w).G.vertex_count in
+  for v = 0 to n - 1 do
+    Alcotest.(check (pair int bool))
+      (Printf.sprintf "%s: cluster of %d" label v)
+      (P.Reveal.cluster_size_via P.Reveal.Table w v)
+      (P.Reveal.cluster_size_via P.Reveal.Arena w v);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: verdict 0-%d" label v)
+      true
+      (P.Reveal.connected_via P.Reveal.Table ~limit:20 w 0 v
+      = P.Reveal.connected_via P.Reveal.Arena ~limit:20 w 0 v)
+  done;
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k d acc -> (k, d) :: acc) tbl []) in
+  let lazy_ = P.World.create ~cache:false hypercube6 ~p:0.6 ~seed:77L in
+  Alcotest.(check (list (pair int int)))
+    (label ^ ": ball")
+    (sorted (P.Reveal.ball lazy_ 0 ~radius:3))
+    (sorted (P.Reveal.ball w 0 ~radius:3))
+
+let test_scratch_reveal_exit_paths () =
+  let w = P.World.create hypercube6 ~p:0.6 ~seed:77L in
+  let full, _ = P.Reveal.cluster_size w 0 in
+  Alcotest.(check bool) "cluster big enough" true (full > 20);
+  let arena ?limit ~stop ~visit () = P.Reveal.bfs_via P.Reveal.Arena ?limit w 0 ~stop ~visit in
+  let nth_visit k =
+    let seen = ref 0 in
+    fun v ->
+      incr seen;
+      !seen > k && v >= 0
+  in
+  (match arena ~stop:(nth_visit 10) ~visit:(fun _ _ -> ()) () with
+  | `Stopped _ -> ()
+  | `Truncated | `Exhausted_full -> Alcotest.fail "expected Stopped");
+  check_arena_clean "after Stopped" w;
+  (match arena ~limit:7 ~stop:(fun _ -> false) ~visit:(fun _ _ -> ()) () with
+  | `Truncated -> ()
+  | `Stopped _ | `Exhausted_full -> Alcotest.fail "expected Truncated");
+  check_arena_clean "after Truncated" w;
+  let boom = nth_visit 12 in
+  Alcotest.check_raises "stop raises" (Failure "stop") (fun () ->
+      ignore
+        (arena
+           ~stop:(fun v -> if boom v then failwith "stop" else false)
+           ~visit:(fun _ _ -> ())
+           ()));
+  check_arena_clean "after stop raised" w;
+  let boom = nth_visit 9 in
+  Alcotest.check_raises "visit raises" (Failure "visit") (fun () ->
+      ignore
+        (arena ~stop:(fun _ -> false) ~visit:(fun v _ ->
+             if boom v then failwith "visit") ()));
+  check_arena_clean "after visit raised" w;
+  let inner = ref false in
+  Alcotest.(check bool) "re-entrant call rejected" true
+    (raises_invalid (fun () ->
+         arena ~stop:(fun _ -> false) ~visit:(fun v _ ->
+             if v <> 0 then begin
+               inner := true;
+               ignore (P.Reveal.ball w v ~radius:1)
+             end) ()));
+  Alcotest.(check bool) "inner call attempted" true !inner;
+  check_arena_clean "after re-entrant call" w;
+  Alcotest.(check bool) "start out of range" true
+    (raises_invalid (fun () ->
+         P.Reveal.bfs_via P.Reveal.Arena w 64 ~stop:(fun _ -> false) ~visit:(fun _ _ -> ())))
+
+let test_scratch_stale_handle () =
+  let w = P.World.create hypercube6 ~p:1.0 ~seed:1L in
+  let o1 = P.Oracle.create w ~source:0 in
+  Alcotest.(check bool) "open" true (P.Oracle.probe o1 0 1);
+  let o2 = P.Oracle.create w ~source:5 in
+  let stale name f = Alcotest.(check bool) name true (raises_invalid f) in
+  stale "probe" (fun () -> P.Oracle.probe o1 1 3);
+  stale "probe_known" (fun () -> P.Oracle.probe_known o1 0 1);
+  stale "reached" (fun () -> P.Oracle.reached o1 1);
+  stale "reached_count" (fun () -> P.Oracle.reached_count o1);
+  stale "reached_vertices" (fun () -> P.Oracle.reached_vertices o1);
+  stale "path_to" (fun () -> P.Oracle.path_to o1 1);
+  stale "distinct_probes" (fun () -> P.Oracle.distinct_probes o1);
+  stale "raw_probes" (fun () -> P.Oracle.raw_probes o1);
+  stale "recount_distinct" (fun () -> P.Oracle.recount_distinct o1);
+  stale "budget_remaining" (fun () -> P.Oracle.budget_remaining o1);
+  stale "source" (fun () -> P.Oracle.source o1);
+  (* The live handle starts clean: nothing of o1's lease shows. *)
+  Alcotest.(check (option bool)) "o2 memo clean" None (P.Oracle.probe_known o2 0 1);
+  Alcotest.(check bool) "o2 reach clean" false (P.Oracle.reached o2 1);
+  Alcotest.(check int) "o2 recount" 0 (P.Oracle.recount_distinct o2);
+  (* Lazy-world oracles own their stores: they neither reclaim a
+     cached-world lease nor go stale themselves. *)
+  let lazy_ = P.World.create ~cache:false hypercube6 ~p:1.0 ~seed:1L in
+  let l1 = P.Oracle.create lazy_ ~source:0 in
+  let l2 = P.Oracle.create lazy_ ~source:5 in
+  Alcotest.(check bool) "l1 probe" true (P.Oracle.probe l1 0 1);
+  Alcotest.(check bool) "l2 probe" true (P.Oracle.probe l2 5 7);
+  Alcotest.(check bool) "o2 still live" true (P.Oracle.probe o2 5 7);
+  Alcotest.(check int) "l1 distinct" 1 (P.Oracle.distinct_probes l1);
+  Alcotest.(check (option (list int))) "o2 path" (Some [ 5; 7 ]) (P.Oracle.path_to o2 7);
+  let _o3 = P.Oracle.create w ~source:0 in
+  stale "o2 after o3" (fun () -> P.Oracle.probe o2 5 4);
+  Alcotest.(check (option (list int))) "l1 path" (Some [ 0; 1 ]) (P.Oracle.path_to l1 1)
+
+(* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 
 let qcheck_tests =
@@ -1363,6 +1475,11 @@ let () =
         [
           case "differential agreement" test_engines_differential;
           case "limit convention" test_engines_limit_counts;
+        ] );
+      ( "scratch",
+        [
+          case "reveal scratch clean on every exit" test_scratch_reveal_exit_paths;
+          case "stale oracle handle" test_scratch_stale_handle;
         ] );
       ( "chemical",
         [

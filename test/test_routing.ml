@@ -317,6 +317,53 @@ let test_local_routers_obey_locality () =
       ignore (R.Router.run segment world ~source:0 ~target:15))
 
 (* ------------------------------------------------------------------ *)
+(* Set-up cost: a query is charged for its probes, not for |V|          *)
+
+let alloc_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Mean words allocated per call of [f] over [pairs], after one warm-up
+   call that sizes the domain's scratch. *)
+let words_per_call pairs f =
+  (match pairs with (s, t) :: _ -> f s t | [] -> ());
+  let w0 = alloc_words () in
+  List.iter (fun (s, t) -> f s t) pairs;
+  (alloc_words () -. w0) /. float_of_int (List.length pairs)
+
+let setup_words dim =
+  let world = P.World.create (Topology.Hypercube.graph dim) ~p:0.7 ~seed:3L in
+  let n = 1 lsl dim in
+  (* Short-range pairs, Hamming distance 2, as in sparse serving. *)
+  let pairs = List.init 40 (fun i -> let s = i * 7919 mod n in (s, s lxor 0b101)) in
+  let route =
+    words_per_call pairs (fun source target ->
+        ignore (R.Router.run ~budget:64 R.Local_bfs.router world ~source ~target))
+  in
+  let reveal =
+    words_per_call pairs (fun u v -> ignore (P.Reveal.connected ~limit:256 world u v))
+  in
+  (route, reveal)
+
+let test_setup_cost_flat_in_vertices () =
+  let route10, reveal10 = setup_words 10 in
+  let route16, reveal16 = setup_words 16 in
+  List.iter
+    (fun (name, words) ->
+      Alcotest.(check bool) (Printf.sprintf "%s under 4k words (%.0f)" name words) true (words < 4096.))
+    [
+      ("route H_10", route10); ("route H_16", route16);
+      ("reveal H_10", reveal10); ("reveal H_16", reveal16);
+    ];
+  List.iter
+    (fun (name, a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: H_10 %.0f vs H_16 %.0f words" name a b)
+        true
+        (Float.abs (b -. a) < 1024.))
+    [ ("route", route10, route16); ("reveal", reveal10, reveal16) ]
+
+(* ------------------------------------------------------------------ *)
 (* Lower bound machinery                                               *)
 
 let test_bound_evaluation () =
@@ -566,7 +613,67 @@ let qcheck_tests =
       ("bidi", fun ~source:_ ~target:_ -> R.Bidirectional.router);
     ]
   in
-  List.map
+  (* Scratch reuse: a random interleaving of queries over worlds of
+     different sizes on one domain answers exactly like each query run
+     alone on a freshly spawned domain (whose scratch is new). K_48
+     under BFS probes most of its edges, overflowing the memo log, so
+     the whole-memo clear runs too. *)
+  let scratch_worlds =
+    [|
+      P.World.create (Topology.Hypercube.graph 6) ~p:0.6 ~seed:1L;
+      P.World.create (Topology.Mesh.graph ~d:2 ~m:12) ~p:0.6 ~seed:2L;
+      P.World.create (Topology.Complete.graph 48) ~p:0.15 ~seed:3L;
+      P.World.create (Topology.Hypercube.graph 10) ~p:0.5 ~seed:4L;
+      P.World.create (Topology.Torus.graph ~d:2 ~m:16) ~p:0.55 ~seed:5L;
+    |]
+  in
+  let run_query (op, wi, a, b, cap) =
+    let world = scratch_worlds.(wi) in
+    let n = (P.World.graph world).G.vertex_count in
+    let a = a mod n and b = b mod n in
+    let limit = if cap = 0 then None else Some cap in
+    match op with
+    | `Bfs | `Bidi ->
+        let router = if op = `Bfs then R.Local_bfs.router else R.Bidirectional.router in
+        let oracle =
+          P.Oracle.create ~policy:router.R.Router.policy ?budget:limit world ~source:a
+        in
+        let outcome =
+          match router.R.Router.route oracle ~target:b with
+          | o -> o
+          | exception P.Oracle.Budget_exhausted ->
+              R.Outcome.Budget_exceeded { probes = P.Oracle.distinct_probes oracle }
+        in
+        `Route
+          ( outcome,
+            P.Oracle.distinct_probes oracle,
+            P.Oracle.raw_probes oracle,
+            P.Oracle.recount_distinct oracle )
+    | `Reveal -> `Reveal (P.Reveal.connected ?limit world a b)
+    | `Cluster -> `Cluster (P.Reveal.cluster_of ?limit world a)
+    | `Ball ->
+        let ball = P.Reveal.ball world a ~radius:(cap mod 4) in
+        `Ball (List.sort compare (Hashtbl.fold (fun v d acc -> (v, d) :: acc) ball []))
+  in
+  let query_gen =
+    Gen.(
+      tup5
+        (oneofl [ `Bfs; `Bfs; `Bidi; `Reveal; `Cluster; `Ball ])
+        (int_bound (Array.length scratch_worlds - 1))
+        (int_bound 100_000) (int_bound 100_000) (int_bound 300))
+  in
+  let scratch_reuse =
+    Test.make ~name:"scratch reuse = fresh domain" ~count:60
+      (make Gen.(list_size (int_range 1 12) query_gen))
+      (fun queries ->
+        List.for_all
+          (fun q ->
+            let here = run_query q in
+            here = Domain.join (Domain.spawn (fun () -> run_query q)))
+          queries)
+  in
+  scratch_reuse
+  :: List.map
     (fun (name, make_router) ->
       Test.make
         ~name:(Printf.sprintf "%s: outcome matches ground truth" name)
@@ -641,6 +748,8 @@ let () =
           case "truthful counts" test_probe_counts_truthful;
           case "locality obeyed" test_local_routers_obey_locality;
         ] );
+      ( "setup cost",
+        [ case "flat in |V|" test_setup_cost_flat_in_vertices ] );
       ( "lower bound",
         [
           case "bound evaluation" test_bound_evaluation;
