@@ -50,6 +50,9 @@ smoke:
 # append-only checkpoint; --resume at a different job count completes
 # the run byte-identically, restoring rather than recomputing the
 # finished chunks (checkpoint.chunks.restored > 0 in metrics/v1).
+# Leg 3: the same catalog with metrics, telemetry and profiling on must
+# be byte-identical to the clean run, and all three artifacts must
+# validate.
 chaos-smoke:
 	mkdir -p artifacts
 	rm -rf artifacts/CHAOS_ckpt
@@ -59,6 +62,9 @@ chaos-smoke:
 	cmp artifacts/CHAOS_clean.txt artifacts/CHAOS_fault_j1.txt
 	cmp artifacts/CHAOS_clean.txt artifacts/CHAOS_fault_j4.txt
 	grep -q '"schema": "faults/v1"' artifacts/CHAOS_faults.json
+	dune exec bin/faultroute.exe -- all --quick --jobs 2 --seed 1 --metrics-out artifacts/CHAOS_obs_metrics.json --telemetry-out artifacts/CHAOS_obs_telemetry.jsonl --profile-out artifacts/CHAOS_obs_profile.json > artifacts/CHAOS_instrumented.txt
+	cmp artifacts/CHAOS_clean.txt artifacts/CHAOS_instrumented.txt
+	dune exec bin/faultroute.exe -- obs validate artifacts/CHAOS_obs_metrics.json artifacts/CHAOS_obs_telemetry.jsonl artifacts/CHAOS_obs_profile.json
 	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 2 --seed 1 > artifacts/CHAOS_e2_clean.txt
 	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 2 --seed 1 --checkpoint artifacts/CHAOS_ckpt --inject 'die@6' > /dev/null 2>&1; test $$? -eq 137
 	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHAOS_ckpt --resume --metrics-out artifacts/CHAOS_metrics.json > artifacts/CHAOS_e2_resumed.txt

@@ -1,11 +1,15 @@
-(** Checkpoint/resume for trial campaigns — the [checkpoint/v1] journal.
+(** Checkpoint/resume for chunked campaigns — the [checkpoint/v1]
+    journal.
 
     A campaign killed at chunk 900 of 1000 should not recompute the
-    first 900. The trial engine streams every completed chunk's cells
-    to an append-only JSONL journal as it finishes; a resumed run looks
-    each chunk up before computing it and replays the stored cells
-    through the same accumulator fold, so the final report is
-    byte-identical to an uninterrupted run.
+    first 900. The one chunk runner ({!Simrun.chunks}) streams every
+    completed chunk's cells to an append-only JSONL journal as it
+    finishes; a resumed run looks each chunk up before computing it and
+    replays the stored cells through the same fold, so the final report
+    is byte-identical to an uninterrupted run. Two cell codecs share the
+    journal: trial cells ({!lookup}/{!store}, for {!Trial.run}) and
+    float value cells ({!lookup_values}/{!store_values}, for
+    {!Simrun.run}).
 
     Correctness rests on two facts:
 
@@ -27,8 +31,8 @@
 
     Like the fault plan and the supervisor policy, the checkpoint is
     ambient process state installed by the CLI ({!configure}) and
-    picked up by {!Trial} — no parameter threading through experiment
-    signatures. *)
+    picked up by the chunk runner — no parameter threading through
+    experiment signatures. *)
 
 type cell =
   | Rejected

@@ -204,13 +204,16 @@ let acc_merge a b =
 (* ------------------------------------------------------------------ *)
 (* The engine.
 
-   The attempt index space 1..max_attempts is cut into fixed chunks of
-   [chunk_size] — a constant, never a function of the job count, so
-   the accumulator-merge tree is identical however many domains run.
+   The attempt index space 1..max_attempts runs through the one chunk
+   runner, [Simrun.chunks], in fixed chunks of [Simrun.chunk_size] — a
+   constant, never a function of the job count, so the
+   accumulator-merge tree is identical however many domains run.
    Chunks are dispensed dynamically; once enough acceptances exist in
    the completed prefix the pool stops dispensing, and a final ordered
    scan truncates at the exact attempt of the [trials]-th acceptance,
-   replaying the boundary chunk attempt by attempt.
+   replaying the boundary chunk attempt by attempt. A quarantined
+   chunk is dropped: its attempts count neither as worlds nor as
+   acceptances.
 
    Tracing rides the same machinery: each attempt's events are captured
    into its cell on whatever domain computed it, and the final ordered
@@ -219,8 +222,6 @@ let acc_merge a b =
    to the sink in a single call. The trace bytes therefore cannot
    depend on the job count, and runs from concurrent Trial calls cannot
    interleave. *)
-
-let chunk_size = 4
 
 type chunk = { cells : cell array; acc : acc }
 
@@ -284,7 +285,7 @@ let checkpoint_key spec stream ~trials ~max_attempts =
        router.Routing.Router.name
        (policy_string router.Routing.Router.policy)
        (opt spec.budget) (opt spec.reveal_limit)
-       (Prng.Stream.seed stream) trials max_attempts chunk_size)
+       (Prng.Stream.seed stream) trials max_attempts Simrun.chunk_size)
 
 let cell_to_checkpoint (cell : cell) =
   match cell.attempt with
@@ -301,74 +302,23 @@ let cell_of_checkpoint = function
         metrics = Obs.Metrics.empty;
       }
 
-let run_engine ?jobs stream ~trials ?max_attempts spec =
+let run ?jobs stream ~trials ?max_attempts spec =
   if trials <= 0 then invalid_arg "Trial.run: trials must be positive";
   let max_attempts = Option.value max_attempts ~default:(100 * trials) in
-  let n_chunks = (max_attempts + chunk_size - 1) / chunk_size in
   let accepted_so_far = Atomic.make 0 in
-  let work c =
-    let lo = (c * chunk_size) + 1 in
-    let hi = Stdlib.min max_attempts ((c + 1) * chunk_size) in
-    let cells =
-      Array.init (hi - lo + 1) (fun k ->
-          if Engine_par.Supervisor.watchdog_armed () then
-            Engine_par.Supervisor.poll ();
-          observed_attempt spec stream (lo + k))
-    in
-    { cells; acc = Array.fold_left acc_add acc_empty cells }
-  in
-  let until chunk =
-    Atomic.fetch_and_add accepted_so_far chunk.acc.accepted + chunk.acc.accepted
-    >= trials
-  in
-  let plan = Faultsim.Plan.ambient () in
-  let supervised =
-    Engine_par.Supervisor.armed () || plan <> None || Checkpoint.active ()
-  in
   let chunks, fault_summary =
-    if not supervised then
-      (Engine_par.Pool.collect_prefix ?jobs ~limit:n_chunks ~until work, None)
-    else begin
-      let work =
-        if not (Checkpoint.active ()) then work
-        else begin
-          let key = checkpoint_key spec stream ~trials ~max_attempts in
-          fun c ->
-            match Checkpoint.lookup ~key ~chunk:c with
-            | Some stored ->
-                let cells = Array.map cell_of_checkpoint stored in
-                { cells; acc = Array.fold_left acc_add acc_empty cells }
-            | None ->
-                let chunk = work c in
-                Checkpoint.store ~key ~chunk:c
-                  (Array.map cell_to_checkpoint chunk.cells);
-                chunk
-        end
-      in
-      let policy =
-        Option.value
-          (Engine_par.Supervisor.current_policy ())
-          ~default:Engine_par.Supervisor.default_policy
-      in
-      let inject =
-        match plan with
-        | Some plan ->
-            fun ~chunk ~attempt -> Faultsim.Plan.injector plan ~chunk ~attempt
-        | None -> fun ~chunk:_ ~attempt:_ -> Engine_par.Supervisor.Pass
-      in
-      let outcomes, summary =
-        Engine_par.Supervisor.collect_prefix ?jobs ~policy ~inject
-          ~limit:n_chunks ~until work
-      in
-      let completed =
-        Array.to_list outcomes
-        |> List.filter_map (function
-             | Engine_par.Supervisor.Completed chunk -> Some chunk
-             | Engine_par.Supervisor.Quarantined _ -> None)
-        |> Array.of_list
-      in
-      (completed, Some summary)
-    end
+    Simrun.chunks ?jobs ~count:max_attempts
+      ~key:(lazy (checkpoint_key spec stream ~trials ~max_attempts))
+      ~lookup:(fun ~key ~chunk ->
+        Option.map (Array.map cell_of_checkpoint) (Checkpoint.lookup ~key ~chunk))
+      ~store:(fun ~key ~chunk cells ->
+        Checkpoint.store ~key ~chunk (Array.map cell_to_checkpoint cells))
+      ~pack:(fun cells -> { cells; acc = Array.fold_left acc_add acc_empty cells })
+      ~until:(fun chunk ->
+        Atomic.fetch_and_add accepted_so_far chunk.acc.accepted + chunk.acc.accepted
+        >= trials)
+      (* Attempts are numbered from 1: split 0 is reserved. *)
+      (fun i -> observed_attempt spec stream (i + 1))
   in
   (* Ordered truncation: merge whole chunks while they cannot contain
      the [trials]-th acceptance, then replay the boundary chunk. *)
@@ -381,20 +331,20 @@ let run_engine ?jobs stream ~trials ?max_attempts spec =
   let attempts_used = ref 0 in
   (try
      Array.iter
-       (fun chunk ->
-         if !final.accepted + chunk.acc.accepted < trials then begin
-           final := acc_merge !final chunk.acc;
-           attempts_used := !attempts_used + Array.length chunk.cells;
-           if tracing then Array.iter push_trace chunk.cells
-         end
-         else
-           Array.iter
-             (fun cell ->
-               final := acc_add !final cell;
-               incr attempts_used;
-               if tracing then push_trace cell;
-               if !final.accepted >= trials then raise Exit)
-             chunk.cells)
+       (function
+         | None -> ()
+         | Some chunk when !final.accepted + chunk.acc.accepted < trials ->
+             final := acc_merge !final chunk.acc;
+             attempts_used := !attempts_used + Array.length chunk.cells;
+             if tracing then Array.iter push_trace chunk.cells
+         | Some chunk ->
+             Array.iter
+               (fun cell ->
+                 final := acc_add !final cell;
+                 incr attempts_used;
+                 if tracing then push_trace cell;
+                 if !final.accepted >= trials then raise Exit)
+               chunk.cells)
        chunks
    with Exit -> ());
   let final = !final in
@@ -431,12 +381,6 @@ let run_engine ?jobs stream ~trials ?max_attempts spec =
     requested = trials;
     metrics = final.metrics;
   }
-
-let run_par ?jobs stream ~trials ?max_attempts spec =
-  run_engine ?jobs stream ~trials ?max_attempts spec
-
-let run stream ~trials ?max_attempts spec =
-  run_engine stream ~trials ?max_attempts spec
 
 let median_observation (result : result) = Stats.Censored.median result.observations
 

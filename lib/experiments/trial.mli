@@ -16,9 +16,8 @@
     a pure function of the root seed. Attempts can therefore be
     evaluated on any number of domains in any order; the engine merges
     per-domain accumulators over a fixed chunking of the attempt index
-    space, so {!run_par} returns {e bit-identical} results for every
-    [jobs] value (and [run_par ~jobs:1] is exactly the sequential
-    run).
+    space, so {!run} returns {e bit-identical} results for every
+    [jobs] value (and [run ~jobs:1] is exactly the sequential run).
 
     {2 Observability}
 
@@ -102,18 +101,17 @@ val shortfall_note : label:string -> result -> string option
     requested trial count was met. Experiments append these to their
     report notes so attempt-cap exhaustion is never silent. *)
 
-val run : Prng.Stream.t -> trials:int -> ?max_attempts:int -> spec -> result
+val run :
+  ?jobs:int -> Prng.Stream.t -> trials:int -> ?max_attempts:int -> spec -> result
 (** [run stream ~trials spec] performs up to [trials] conditioned
     measurements, drawing at most [max_attempts] (default
-    [100 × trials]) worlds in total. Runs on
-    {!Engine_par.Pool.default_jobs} domains (1 unless raised, e.g. by
-    the CLI's [--jobs]); the result does not depend on the job count.
+    [100 × trials]) worlds in total, on [jobs] domains (default
+    {!Engine_par.Pool.default_jobs}: 1 unless raised, e.g. by the
+    CLI's [--jobs]). The result is bit-identical for every [jobs].
+    The attempts run through {!Simrun.chunks}; under supervision a
+    quarantined chunk's attempts are left out of [connection] and the
+    chunk is listed in the supervisor's global summary.
     @raise Invalid_argument if [trials <= 0]. *)
-
-val run_par :
-  ?jobs:int -> Prng.Stream.t -> trials:int -> ?max_attempts:int -> spec -> result
-(** [run_par ~jobs stream ~trials spec] is {!run} on [jobs] domains.
-    Bit-identical to [run_par ~jobs:1] for every [jobs]. *)
 
 val median_observation : result -> Stats.Censored.observation option
 (** Median probe count of the conditioned trials. *)

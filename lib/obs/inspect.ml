@@ -5,17 +5,9 @@
    Metrics and telemetry normalize into the same [table] shape, which
    is what lets report/diff/aggregate share one implementation. *)
 
-type hist = {
-  count : int;
-  sum : float;
-  min_v : float option;
-  max_v : float option;
-  buckets : (int * int) list;  (* (lower bound, count), ascending *)
-}
-
 type table = {
   counters : (string * float) list;  (* name-sorted *)
-  hists : (string * hist) list;  (* name-sorted *)
+  hists : (string * Hist.t) list;  (* name-sorted *)
 }
 
 type pnode = {
@@ -112,10 +104,13 @@ let parse_hist ~sum_key ~min_key ~max_key name j =
   match
     let* count = int_field "count" j in
     let* sum = num_field sum_key j in
-    let* min_v = opt_num_field min_key j in
-    let* max_v = opt_num_field max_key j in
+    let* min = opt_num_field min_key j in
+    let* max = opt_num_field max_key j in
     let* buckets = parse_buckets j in
-    Ok { count; sum; min_v; max_v; buckets }
+    Ok
+      (Hist.of_sparse ~count ~sum:(Float.to_int sum)
+         ?min:(Option.map Float.to_int min) ?max:(Option.map Float.to_int max)
+         buckets)
   with
   | Ok h -> Ok h
   | Error m -> Error (ctx m)
@@ -153,28 +148,6 @@ let parse_metrics j =
   in
   Ok (Metrics t)
 
-let merge_hist a b =
-  let opt f x y =
-    match (x, y) with
-    | None, v | v, None -> v
-    | Some x, Some y -> Some (f x y)
-  in
-  let rec merge_buckets xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> rest
-    | (la, ca) :: ra, (lb, cb) :: rb ->
-        if la < lb then (la, ca) :: merge_buckets ra ys
-        else if la > lb then (lb, cb) :: merge_buckets xs rb
-        else (la, ca + cb) :: merge_buckets ra rb
-  in
-  {
-    count = a.count + b.count;
-    sum = a.sum +. b.sum;
-    min_v = opt Float.min a.min_v b.min_v;
-    max_v = opt Float.max a.max_v b.max_v;
-    buckets = merge_buckets a.buckets b.buckets;
-  }
-
 let merge_tables a b =
   let rec merge_assoc combine xs ys =
     match (xs, ys) with
@@ -187,7 +160,7 @@ let merge_tables a b =
   in
   {
     counters = merge_assoc ( +. ) a.counters b.counters;
-    hists = merge_assoc merge_hist a.hists b.hists;
+    hists = merge_assoc Hist.merge a.hists b.hists;
   }
 
 let parse_telemetry_line j =
@@ -357,29 +330,6 @@ let load path =
 (* ------------------------------------------------------------------ *)
 (* Shared formatting.                                                  *)
 
-(* Same estimator as [Metrics.quantile], over the parsed sparse
-   buckets: upper bound of the bucket holding the ceil(q*count)-th
-   observation, clamped into [min, max]. *)
-let hist_quantile h q =
-  if h.count = 0 then None
-  else
-    let rank = Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int h.count))) in
-    let rec find seen = function
-      | [] -> h.max_v
-      | (lb, c) :: rest ->
-          let seen = seen + c in
-          if seen >= rank then
-            let upper = float_of_int (if lb <= 1 then lb else (2 * lb) - 1) in
-            let clamped =
-              match (h.min_v, h.max_v) with
-              | Some lo, Some hi -> Float.min hi (Float.max lo upper)
-              | _ -> upper
-            in
-            Some clamped
-          else find seen rest
-    in
-    find 0 h.buckets
-
 let is_suffix ~suffix s =
   let ls = String.length suffix and l = String.length s in
   l >= ls && String.sub s (l - ls) ls = suffix
@@ -398,14 +348,13 @@ let pp_hist_rows ppf hists =
     List.iter
       (fun (name, h) ->
         let q p =
-          match hist_quantile h p with
-          | Some v -> Printf.sprintf "%.3g" (scaled name v)
+          match Hist.quantile h p with
+          | Some v -> Printf.sprintf "%.3g" (scaled name (float_of_int v))
           | None -> "-"
         in
         let mx =
-          match h.max_v with
-          | Some v -> Printf.sprintf "%.3g" (scaled name v)
-          | None -> "-"
+          if h.Hist.count = 0 then "-"
+          else Printf.sprintf "%.3g" (scaled name (float_of_int h.max))
         in
         Format.fprintf ppf "  %-*s %10d %10s %10s %10s %10s %5s@." width name
           h.count (q 0.5) (q 0.95) (q 0.99) mx (unit_of name))
@@ -614,8 +563,8 @@ let diff_tables ppf xa xb =
     (fun name ->
       let ca = List.assoc_opt name xa.hists in
       let cb = List.assoc_opt name xb.hists in
-      let count = function Some h -> h.count | None -> 0 in
-      let sum = function Some h -> h.sum | None -> 0. in
+      let count = function Some (h : Hist.t) -> h.count | None -> 0 in
+      let sum = function Some (h : Hist.t) -> float_of_int h.sum | None -> 0. in
       if count ca <> count cb || sum ca <> sum cb then begin
         incr changed;
         Format.fprintf ppf "  %-40s count %d -> %d, sum %.4g -> %.4g@." name

@@ -11,17 +11,9 @@
     or history trails. A successful load {e is} schema validation —
     "obs validate" prints nothing but the verdict. *)
 
-type hist = {
-  count : int;
-  sum : float;
-  min_v : float option;
-  max_v : float option;
-  buckets : (int * int) list;  (** (lower bound, count), ascending *)
-}
-
 type table = {
   counters : (string * float) list;  (** name-sorted *)
-  hists : (string * hist) list;  (** name-sorted *)
+  hists : (string * Hist.t) list;  (** name-sorted *)
 }
 (** The normalized counter/gauge + histogram shape metrics and
     telemetry both parse into — exposed so {!Top} can render
@@ -33,10 +25,6 @@ type kind = [ `Trace | `Metrics | `Telemetry | `Profile | `Bench | `Ledger ]
 
 val kind : artifact -> kind
 val kind_name : kind -> string
-
-val hist_quantile : hist -> float -> float option
-(** Bucket-upper-bound quantile clamped into [min, max] — the same
-    estimator as [Metrics.quantile]. *)
 
 val utilization_rows : (string * float) list -> (int * float * float * float) list
 (** Fold [pool.domain.<slot>.busy_s/.wall_s/.tasks] gauges into one

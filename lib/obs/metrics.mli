@@ -19,19 +19,6 @@
     are disabled ({!on} is [false], the default) every hook reduces to
     one predictable branch; nothing is allocated or written. *)
 
-(** {2 Bucket scheme}
-
-    Histograms bucket by bit length: value [v ≥ 0] lands in bucket
-    [bits v] — 0 → 0, 1 → 1, 2..3 → 2, 4..7 → 3, so bucket [i ≥ 1]
-    covers [\[2^(i-1), 2^i)]. Exposed so other layers ({!Telemetry})
-    can reuse the same scheme. *)
-
-val bucket_count : int
-val bucket_of : int -> int
-
-val bucket_lower_bound : int -> int
-(** Inclusive lower bound of bucket [i] (0, 1, 2, 4, 8, ...). *)
-
 type t
 (** A mutable registry. Not thread-safe: use one per domain (the
     ambient discipline guarantees this) and merge snapshots. *)
@@ -45,8 +32,8 @@ val add : t -> string -> int -> unit
 (** Add [n] to the named counter. *)
 
 val observe : t -> string -> int -> unit
-(** Record one value into the named histogram (power-of-two buckets,
-    plus exact count / sum / min / max). *)
+(** Record one value into the named histogram (a {!Hist.t}:
+    power-of-two buckets plus exact count / sum / min / max). *)
 
 val peek : t -> string -> int
 (** Live value of a counter in the registry, 0 when absent — for thin
@@ -64,8 +51,8 @@ val is_empty : snapshot -> bool
 val snapshot : t -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
-(** Pointwise sum of counters; bucket-wise sum (and count/sum add,
-    min/max combine) of histograms. Associative and commutative. *)
+(** Pointwise sum of counters; {!Hist.merge} of histograms.
+    Associative and commutative. *)
 
 val counter : snapshot -> string -> int
 (** Value of a counter, 0 when absent. *)
@@ -80,15 +67,12 @@ val histogram_sum : snapshot -> string -> int
 (** Sum of observations of a histogram, 0 when absent. *)
 
 val quantile : snapshot -> string -> float -> int option
-(** [quantile s name q] estimates the [q]-quantile (q in [\[0, 1\]]) of
-    the named histogram from its power-of-two buckets. The estimate is
-    the {e inclusive upper bound} of the bucket holding the rank-
-    [max 1 (ceil (q * count))] observation — bucket 0 → 0, bucket 1 →
-    1, bucket [i ≥ 2] → [2^i - 1] — clamped into [\[min, max\]], so it
-    never under-reports by more than one bucket width and is exact at
-    the extremes. Deterministic: depends only on the snapshot. [None]
-    when the histogram is absent or empty, or [q] is outside [\[0, 1\]]
-    or non-finite. *)
+(** [quantile s name q] is {!Hist.quantile} on the named histogram:
+    the inclusive upper bound of the bucket holding the rank-
+    [max 1 (ceil (q * count))] observation, clamped into [\[min, max\]].
+    Deterministic: depends only on the snapshot. [None] when the
+    histogram is absent or empty, or [q] is outside [\[0, 1\]] or
+    non-finite. *)
 
 val quantiles : snapshot -> string -> float list -> int list option
 (** {!quantile} for several probabilities at once; [None] if any single

@@ -1,50 +1,18 @@
 (* Wall-clock run telemetry: float gauges + nanosecond histograms
    behind one global mutex, emitted as [telemetry/v1] JSONL heartbeats.
    Strictly reporting-layer, like [Timing]: nothing here may influence
-   result bytes. Hot paths that would contend on the mutex accumulate
-   into a [local] histogram and [absorb] it once per unit of work. *)
+   result bytes. Histograms are [Hist.t] values over whole
+   nanoseconds; hot paths that would contend on the mutex fill a
+   private one and [absorb] it once per unit of work. *)
 
 let enabled = Atomic.make false
 
 let[@inline] on () = Atomic.get enabled
 
-(* Histograms reuse the power-of-two bucketing of [Metrics] over
-   integer nanoseconds: plenty of resolution for latency percentiles
-   and a bounded, mergeable representation. *)
-
-let bucket_count = Metrics.bucket_count
-
-type local = {
-  mutable l_count : int;
-  mutable l_sum_ns : float;
-  mutable l_min_ns : float;
-  mutable l_max_ns : float;
-  l_buckets : int array;
-}
-
-let local_create () =
-  {
-    l_count = 0;
-    l_sum_ns = 0.;
-    l_min_ns = infinity;
-    l_max_ns = neg_infinity;
-    l_buckets = Array.make bucket_count 0;
-  }
-
-let local_observe_ns l ns =
-  l.l_count <- l.l_count + 1;
-  l.l_sum_ns <- l.l_sum_ns +. ns;
-  if ns < l.l_min_ns then l.l_min_ns <- ns;
-  if ns > l.l_max_ns then l.l_max_ns <- ns;
-  let b =
-    Metrics.bucket_of (if ns >= float_of_int max_int then max_int else int_of_float ns)
-  in
-  l.l_buckets.(b) <- l.l_buckets.(b) + 1
-
 (* ------------------------------------------------------------------ *)
 (* The global registry.                                                *)
 
-type cell = Gauge of float ref | Hist of local
+type cell = Gauge of float ref | Hist of Hist.t
 
 let lock = Mutex.create ()
 let cells : (string, cell) Hashtbl.t = Hashtbl.create 32
@@ -100,7 +68,7 @@ let hist_cell name =
   | Some (Hist h) -> h
   | Some (Gauge _) -> invalid_arg ("Telemetry: " ^ name ^ " is a gauge")
   | None ->
-      let h = local_create () in
+      let h = Hist.create () in
       Hashtbl.replace cells name (Hist h);
       h
 
@@ -118,56 +86,20 @@ let max_gauge name v =
       if v > !r then r := v)
 
 let observe_ns name ns =
-  if on () then locked (fun () -> local_observe_ns (hist_cell name) ns)
+  if on () then locked (fun () -> Hist.observe (hist_cell name) (int_of_float ns))
 
-let absorb name (l : local) =
-  if on () && l.l_count > 0 then
-    locked (fun () ->
-        let h = hist_cell name in
-        h.l_count <- h.l_count + l.l_count;
-        h.l_sum_ns <- h.l_sum_ns +. l.l_sum_ns;
-        if l.l_min_ns < h.l_min_ns then h.l_min_ns <- l.l_min_ns;
-        if l.l_max_ns > h.l_max_ns then h.l_max_ns <- l.l_max_ns;
-        Array.iteri
-          (fun i c -> if c > 0 then h.l_buckets.(i) <- h.l_buckets.(i) + c)
-          l.l_buckets)
+let absorb name (l : Hist.t) =
+  if on () && l.count > 0 then
+    locked (fun () -> Hist.merge_into ~into:(hist_cell name) l)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots.                                                          *)
 
-type hist_view = {
-  h_count : int;
-  h_sum_ns : float;
-  h_min_ns : float;
-  h_max_ns : float;
-  h_buckets : (int * int) list;  (* (lower bound, count), sparse *)
-}
-
 type view = {
   uptime_s : float;
   gauges : (string * float) list;
-  hists : (string * hist_view) list;
+  hists : (string * Hist.t) list;
 }
-
-let hist_quantile_ns v q =
-  if v.h_count = 0 || not (Float.is_finite q) || q < 0. || q > 1. then None
-  else
-    let rank =
-      Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int v.h_count)))
-    in
-    (* Sparse buckets are sorted by lower bound; the quantile estimate
-       is the holding bucket's upper bound, clamped into [min, max]
-       like [Metrics.quantile]. *)
-    let rec find seen = function
-      | [] -> Some v.h_max_ns
-      | (lb, c) :: rest ->
-          let seen = seen + c in
-          if seen >= rank then
-            let upper = if lb <= 1 then float_of_int lb else float_of_int ((2 * lb) - 1) in
-            Some (Float.min v.h_max_ns (Float.max v.h_min_ns upper))
-          else find seen rest
-    in
-    find 0 v.h_buckets
 
 let snapshot () =
   locked (fun () ->
@@ -179,24 +111,7 @@ let snapshot () =
           (fun name cell (gs, hs) ->
             match cell with
             | Gauge r -> ((name, !r) :: gs, hs)
-            | Hist h ->
-                let buckets =
-                  List.filter_map
-                    (fun i ->
-                      if h.l_buckets.(i) = 0 then None
-                      else Some (Metrics.bucket_lower_bound i, h.l_buckets.(i)))
-                    (List.init bucket_count Fun.id)
-                in
-                ( gs,
-                  ( name,
-                    {
-                      h_count = h.l_count;
-                      h_sum_ns = h.l_sum_ns;
-                      h_min_ns = h.l_min_ns;
-                      h_max_ns = h.l_max_ns;
-                      h_buckets = buckets;
-                    } )
-                  :: hs ))
+            | Hist h -> (gs, (name, Hist.copy h) :: hs))
           cells ([], [])
       in
       let by_name (a, _) (b, _) = String.compare a b in
@@ -207,25 +122,20 @@ let snapshot () =
       })
 
 let to_json_line ?seq:seq_n ?(extra = []) (v : view) =
-  let hist_json (name, h) =
-    let q p =
-      match hist_quantile_ns h p with Some ns -> Json.Float ns | None -> Json.Null
-    in
+  let hist_json (name, (h : Hist.t)) =
+    let ns v = Json.Float (float_of_int v) in
+    let q p = match Hist.quantile h p with Some v -> ns v | None -> Json.Null in
     ( name,
       Json.Obj
         [
-          ("count", Json.Int h.h_count);
-          ("sum_ns", Json.Float h.h_sum_ns);
-          ("min_ns", if h.h_count = 0 then Json.Null else Json.Float h.h_min_ns);
-          ("max_ns", if h.h_count = 0 then Json.Null else Json.Float h.h_max_ns);
+          ("count", Json.Int h.count);
+          ("sum_ns", ns h.sum);
+          ("min_ns", if h.count = 0 then Json.Null else ns h.min);
+          ("max_ns", if h.count = 0 then Json.Null else ns h.max);
           ("p50_ns", q 0.5);
           ("p95_ns", q 0.95);
           ("p99_ns", q 0.99);
-          ( "buckets",
-            Json.List
-              (List.map
-                 (fun (lb, c) -> Json.List [ Json.Int lb; Json.Int c ])
-                 h.h_buckets) );
+          ("buckets", Hist.buckets_json h);
         ] )
   in
   Json.to_string

@@ -9,8 +9,8 @@
     integer side lives in {!Metrics}.
 
     One process-global registry behind a mutex. Callers on hot paths
-    that would contend (pool workers) accumulate into a {!local}
-    histogram and {!absorb} it once per unit of work; everything else
+    that would contend (pool workers) accumulate into a private
+    {!Hist.t} and {!absorb} it once per unit of work; everything else
     calls the locked one-shot recorders. When disabled (the default)
     every recorder reduces to one [Atomic.get] branch. *)
 
@@ -37,51 +37,31 @@ val max_gauge : string -> float -> unit
 (** Keep the maximum seen — for peaks. *)
 
 val observe_ns : string -> float -> unit
-(** Record one duration (nanoseconds) into the named histogram
-    (power-of-two nanosecond buckets shared with {!Metrics}). *)
+(** Record one duration (nanoseconds, truncated to whole ones) into the
+    named histogram (a {!Hist.t}, the power-of-two buckets shared with
+    {!Metrics}). *)
 
-(** {2 Contention-free accumulation} *)
-
-type local
-(** A private histogram a single domain fills without locking. *)
-
-val local_create : unit -> local
-val local_observe_ns : local -> float -> unit
-
-val absorb : string -> local -> unit
-(** Merge a local histogram into the named global one (one lock
-    acquisition); no-op when the local is empty or telemetry is off. *)
+val absorb : string -> Hist.t -> unit
+(** Merge a private histogram of whole nanoseconds that one domain
+    filled without locking into the named global one (one lock
+    acquisition); no-op when it is empty or telemetry is off. *)
 
 (** {2 Snapshots and heartbeats} *)
-
-type hist_view = {
-  h_count : int;
-  h_sum_ns : float;
-  h_min_ns : float;
-  h_max_ns : float;
-  h_buckets : (int * int) list;
-      (** sparse [(lower bound, count)], sorted ascending *)
-}
 
 type view = {
   uptime_s : float;  (** seconds since {!enable}/{!reset} *)
   gauges : (string * float) list;  (** name-sorted *)
-  hists : (string * hist_view) list;  (** name-sorted *)
+  hists : (string * Hist.t) list;  (** name-sorted copies *)
 }
 
 val snapshot : unit -> view
-
-val hist_quantile_ns : hist_view -> float -> float option
-(** Bucket-upper-bound quantile estimate, clamped into [min, max] —
-    same semantics as {!Metrics.quantile}. [None] on an empty view or
-    [q] outside [\[0, 1\]]. *)
 
 val to_json_line : ?seq:int -> ?extra:(string * Json.t) list -> view -> string
 (** One [telemetry/v1] JSONL line:
     [{"schema": "telemetry/v1", "seq": n, ...extra, "uptime_s": ..,
     "gauges": {...}, "histograms": {name: {count, sum_ns, min_ns,
     max_ns, p50_ns, p95_ns, p99_ns, buckets: [[lb, n], ...]}}}].
-    Ends in a newline. [extra] fields (session id, progress counters)
+    The percentiles are {!Hist.quantile}. Ends in a newline. [extra] fields (session id, progress counters)
     are spliced in right after the schema tag; [seq] (emitted by
     {!heartbeat}, omitted when absent) precedes them. *)
 

@@ -147,17 +147,16 @@ let render f =
       List.iter
         (fun (name, h) ->
           let q p =
-            match Inspect.hist_quantile h p with
-            | Some v -> Printf.sprintf "%.3g" (scaled name v)
+            match Hist.quantile h p with
+            | Some v -> Printf.sprintf "%.3g" (scaled name (float_of_int v))
             | None -> "-"
           in
           let mx =
-            match h.Inspect.max_v with
-            | Some v -> Printf.sprintf "%.3g" (scaled name v)
-            | None -> "-"
+            if h.Hist.count = 0 then "-"
+            else Printf.sprintf "%.3g" (scaled name (float_of_int h.max))
           in
           Format.fprintf ppf "           %-*s %10d %9s %9s %9s %9s %4s@."
-            width name h.Inspect.count (q 0.5) (q 0.95) (q 0.99) mx
+            width name h.count (q 0.5) (q 0.95) (q 0.99) mx
             (unit_of name))
         hists);
   Format.pp_print_flush ppf ();

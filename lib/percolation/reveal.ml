@@ -332,9 +332,10 @@ let repr_engine world = if World.cached world then Arena else Table
    noticing: the world must be cached (bitsets index by vertex), no
    limit may cut a level mid-way (which vertices a truncated run visits
    is order-dependent), and tracing must be off (Reveal_step event order
-   is a stable artefact). Callers whose visit *count* depends on visit
-   order — early-stopping searches under metrics — add their own
-   guard. *)
+   is a stable artefact). Metrics are not part of the choice: turning
+   an instrument on must not change which engine runs, so an
+   early-stopping search's [reveal.visited] counts the bitset engine's
+   visits whether or not anyone is counting. *)
 let order_free ?limit world =
   World.cached world && limit = None && not (Obs.Trace.on ())
 
@@ -378,13 +379,14 @@ let connected_with ~engine ?limit world u v =
     | `Exhausted_full -> Disconnected
 
 let connected ?limit world u v =
-  (* An early-stopping search visits an order-dependent number of
-     vertices before finding the target, so the bitset engine is only
-     eligible when metrics are not counting them. *)
-  let engine =
-    if order_free ?limit world && not (Obs.Metrics.on ()) then Bitset
-    else repr_engine world
-  in
+  (* Bitset stays because the catalog measurably needs it. With it
+     removed (10 alternating pairs, `perfbench/run.py --workload
+     catalog --seconds 25`, 2 vCPUs) catalog wall_s went from a median
+     7.22 s [q1 6.77, q3 8.62] to 8.06 s [7.65, 8.70], slower in 8 of 10
+     pairs, and latency_p50_ms from 1554 to 1768; run alone, E2's
+     fresh-world unlimited reveals took 2.24 s -> 2.73 s (slower in 5 of
+     5 pairs). Only E9 got faster on Arena, 1.89 s -> 1.40 s. *)
+  let engine = if order_free ?limit world then Bitset else repr_engine world in
   connected_with ~engine ?limit world u v
 
 let connected_via engine ?limit world u v =

@@ -82,7 +82,7 @@ let test_invalid_arguments () =
     (fun () -> Engine_par.Pool.set_default_jobs 0)
 
 (* ------------------------------------------------------------------ *)
-(* Trial.run_par determinism                                           *)
+(* Trial.run determinism across jobs                                  *)
 
 let cube = Topology.Hypercube.graph 5
 
@@ -103,7 +103,7 @@ let segment_spec ~p () =
 
 let check_jobs_invariant name ~seed ~trials ?max_attempts spec =
   let run jobs =
-    Experiments.Trial.run_par ~jobs
+    Experiments.Trial.run ~jobs
       (Prng.Stream.create seed)
       ~trials ?max_attempts spec
   in
@@ -129,10 +129,10 @@ let test_run_par_deterministic () =
   check_jobs_invariant "segment router" ~seed:22L ~trials:10 (segment_spec ~p:0.6 ())
 
 let test_run_par_matches_run () =
-  (* run (ambient default = 1 job) and run_par must agree. *)
+  (* run at the ambient default (1 job) and at ~jobs:4 must agree. *)
   let spec = bfs_spec ~p:0.6 () in
   let a = Experiments.Trial.run (Prng.Stream.create 31L) ~trials:8 spec in
-  let b = Experiments.Trial.run_par ~jobs:4 (Prng.Stream.create 31L) ~trials:8 spec in
+  let b = Experiments.Trial.run ~jobs:4 (Prng.Stream.create 31L) ~trials:8 spec in
   Alcotest.(check bool) "identical" true (Stdlib.compare a b = 0)
 
 let test_report_byte_identical () =

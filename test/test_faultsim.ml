@@ -219,7 +219,7 @@ let bfs_spec ~p =
     (fun _rand ~source:_ ~target:_ -> Routing.Local_bfs.router)
 
 let run_trial ?jobs () =
-  Experiments.Trial.run_par ?jobs (Prng.Stream.create 17L) ~trials:6
+  Experiments.Trial.run ?jobs (Prng.Stream.create 17L) ~trials:6
     (bfs_spec ~p:0.7)
 
 let test_recoverable_plan_byte_identity_qcheck =
@@ -324,7 +324,7 @@ let test_checkpoint_key_isolation () =
   Experiments.Checkpoint.deconfigure ();
   configure_exn ~dir ~resume:true;
   let other =
-    Experiments.Trial.run_par ~jobs:1 (Prng.Stream.create 18L) ~trials:6
+    Experiments.Trial.run ~jobs:1 (Prng.Stream.create 18L) ~trials:6
       (bfs_spec ~p:0.7)
   in
   Alcotest.(check int) "different seed restores nothing" 0
@@ -438,6 +438,81 @@ let test_simrun_checkpoint_resume () =
     (Experiments.Checkpoint.restored () > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Quarantine through the one chunk runner                             *)
+
+(* Flaky failures outlast the armed policy's attempt budget, so every
+   chunk whose coins fail all its attempts is quarantined. Which chunks
+   those are is read off the plan itself. *)
+let doomed_plan = Plan.make ~seed:4L [ Plan.Flaky { rate = 0.7; max_failures = 3 } ]
+
+let doomed_policy =
+  { Supervisor.default_policy with Supervisor.max_attempts = 2; backoff_s = 0.0 }
+
+let doomed_chunks ~n_chunks =
+  List.filter
+    (fun chunk ->
+      List.for_all
+        (fun attempt -> Plan.injector doomed_plan ~chunk ~attempt <> Supervisor.Pass)
+        (List.init doomed_policy.Supervisor.max_attempts (fun a -> a + 1)))
+    (List.init n_chunks Fun.id)
+
+let with_doomed_chunks ~n_chunks f =
+  let lost = doomed_chunks ~n_chunks in
+  Alcotest.(check bool) "some chunks lost, not all" true
+    (lost <> [] && List.length lost < n_chunks);
+  with_clean_supervision @@ fun () ->
+  Supervisor.arm doomed_policy;
+  Plan.set_ambient (Some doomed_plan);
+  let result = f lost in
+  Alcotest.(check (list int)) "global summary lists the lost chunks" lost
+    (Supervisor.global_summary ()).Supervisor.quarantined;
+  result
+
+let test_simrun_quarantine () =
+  (* Simrun keeps a quarantined chunk's slots as empty cells. *)
+  let reference = with_clean_supervision (fun () -> run_simrun ~jobs:1 ()) in
+  with_doomed_chunks ~n_chunks:3 @@ fun lost ->
+  let cells = run_simrun ~jobs:2 () in
+  Alcotest.(check int) "every slot kept" (Array.length reference) (Array.length cells);
+  Array.iteri
+    (fun i cell ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d" i)
+        true
+        (if List.mem (i / Experiments.Simrun.chunk_size) lost then cell = [||]
+         else cell = reference.(i)))
+    cells
+
+let test_trial_quarantine () =
+  (* Trial drops a quarantined chunk: its attempts count neither as
+     worlds nor as acceptances. [trials] is out of reach, so every one
+     of the 24 attempts (6 chunks) is drawn. *)
+  let connection max_attempts =
+    with_clean_supervision (fun () ->
+        (Experiments.Trial.run ~jobs:1 (Prng.Stream.create 17L) ~trials:1000
+           ~max_attempts (bfs_spec ~p:0.5))
+          .Experiments.Trial.connection)
+  in
+  let reference = connection 24 in
+  let accepted_in =
+    let c = Experiments.Simrun.chunk_size in
+    Array.init 6 (fun chunk ->
+        (connection ((chunk + 1) * c)).Stats.Proportion.successes
+        - (connection (chunk * c)).Stats.Proportion.successes)
+  in
+  with_doomed_chunks ~n_chunks:6 @@ fun lost ->
+  let result =
+    Experiments.Trial.run ~jobs:2 (Prng.Stream.create 17L) ~trials:1000
+      ~max_attempts:24 (bfs_spec ~p:0.5)
+  in
+  Alcotest.(check int) "worlds leave out the lost attempts"
+    (24 - (Experiments.Simrun.chunk_size * List.length lost))
+    result.Experiments.Trial.connection.Stats.Proportion.trials;
+  Alcotest.(check int) "acceptances leave out the lost attempts"
+    (List.fold_left (fun acc c -> acc - accepted_in.(c)) reference.successes lost)
+    result.connection.successes
+
+(* ------------------------------------------------------------------ *)
 (* Atomic_file                                                         *)
 
 let test_atomic_file () =
@@ -483,6 +558,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_recoverable_plan_byte_identity_qcheck;
           case "plain path when unarmed" test_supervised_only_when_armed;
+          case "quarantined chunk dropped" test_trial_quarantine;
         ] );
       ( "checkpoint",
         [
@@ -495,6 +571,7 @@ let () =
           case "jobs identical" test_simrun_jobs_identical;
           case "crash plan identical" test_simrun_crash_plan_identical;
           case "checkpoint resume" test_simrun_checkpoint_resume;
+          case "quarantined chunk kept empty" test_simrun_quarantine;
         ] );
       ("atomic_file", [ case "write and append" test_atomic_file ]);
     ]

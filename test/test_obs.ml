@@ -124,7 +124,7 @@ let traced_run ?(jobs = 1) ~seed ~trials spec =
   let buffer = Buffer.create 4096 in
   let result =
     with_tracing (Buffer.add_string buffer) @@ fun () ->
-    Experiments.Trial.run_par ~jobs (Prng.Stream.create seed) ~trials spec
+    Experiments.Trial.run ~jobs (Prng.Stream.create seed) ~trials spec
   in
   (result, Buffer.contents buffer)
 
@@ -264,7 +264,7 @@ let test_probe_known_uncounted () =
 let test_trial_metrics () =
   with_metrics @@ fun () ->
   let run jobs =
-    Experiments.Trial.run_par ~jobs
+    Experiments.Trial.run ~jobs
       (Prng.Stream.create 55L)
       ~trials:8 (bfs_spec ~p:0.6 ())
   in
@@ -294,7 +294,7 @@ let test_trial_metrics () =
 
 let test_metrics_off_empty () =
   let result =
-    Experiments.Trial.run_par ~jobs:2
+    Experiments.Trial.run ~jobs:2
       (Prng.Stream.create 55L)
       ~trials:4 (bfs_spec ~p:0.6 ())
   in
@@ -580,17 +580,17 @@ let test_telemetry_snapshot () =
     v.Obs.Telemetry.gauges;
   (match v.Obs.Telemetry.hists with
   | [ ("lat_ns", h) ] ->
-      Alcotest.(check int) "hist count" 4 h.Obs.Telemetry.h_count;
-      Alcotest.(check (float 1e-9)) "hist sum" 1500.0 h.Obs.Telemetry.h_sum_ns;
-      Alcotest.(check (float 1e-9)) "hist min" 100.0 h.Obs.Telemetry.h_min_ns;
-      Alcotest.(check (float 1e-9)) "hist max" 800.0 h.Obs.Telemetry.h_max_ns;
+      Alcotest.(check int) "hist count" 4 h.Obs.Hist.count;
+      Alcotest.(check int) "hist sum" 1500 h.Obs.Hist.sum;
+      Alcotest.(check int) "hist min" 100 h.Obs.Hist.min;
+      Alcotest.(check int) "hist max" 800 h.Obs.Hist.max;
       (* Rank 2 of 4 lands in the [128,255] bucket holding 200. *)
-      Alcotest.(check (option (float 1e-9)))
-        "p50 upper bound" (Some 255.0)
-        (Obs.Telemetry.hist_quantile_ns h 0.5);
-      Alcotest.(check (option (float 1e-9)))
-        "p99 clamps to max" (Some 800.0)
-        (Obs.Telemetry.hist_quantile_ns h 0.99)
+      Alcotest.(check (option int))
+        "p50 upper bound" (Some 255)
+        (Obs.Hist.quantile h 0.5);
+      Alcotest.(check (option int))
+        "p99 clamps to max" (Some 800)
+        (Obs.Hist.quantile h 0.99)
   | hs -> Alcotest.failf "expected one histogram, got %d" (List.length hs));
   (* The heartbeat line is valid telemetry/v1 JSON with extras spliced. *)
   let line =
@@ -610,19 +610,19 @@ let test_telemetry_snapshot () =
 
 let test_telemetry_local_absorb () =
   with_telemetry ignore @@ fun () ->
-  let l = Obs.Telemetry.local_create () in
-  Obs.Telemetry.local_observe_ns l 100.0;
-  Obs.Telemetry.local_observe_ns l 900.0;
+  let l = Obs.Hist.create () in
+  Obs.Hist.observe l 100;
+  Obs.Hist.observe l 900;
   Obs.Telemetry.observe_ns "t_ns" 500.0;
   Obs.Telemetry.absorb "t_ns" l;
   let v = Obs.Telemetry.snapshot () in
   match List.assoc_opt "t_ns" v.Obs.Telemetry.hists with
   | None -> Alcotest.fail "absorbed histogram missing"
   | Some h ->
-      Alcotest.(check int) "merged count" 3 h.Obs.Telemetry.h_count;
-      Alcotest.(check (float 1e-9)) "merged sum" 1500.0 h.Obs.Telemetry.h_sum_ns;
-      Alcotest.(check (float 1e-9)) "merged min" 100.0 h.Obs.Telemetry.h_min_ns;
-      Alcotest.(check (float 1e-9)) "merged max" 900.0 h.Obs.Telemetry.h_max_ns
+      Alcotest.(check int) "merged count" 3 h.Obs.Hist.count;
+      Alcotest.(check int) "merged sum" 1500 h.Obs.Hist.sum;
+      Alcotest.(check int) "merged min" 100 h.Obs.Hist.min;
+      Alcotest.(check int) "merged max" 900 h.Obs.Hist.max
 
 let test_telemetry_disabled_noop () =
   Obs.Telemetry.reset ();

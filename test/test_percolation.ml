@@ -1193,6 +1193,28 @@ let test_engines_limit_counts () =
         engines)
     [ 1; 2; 7; 16; 1000 ]
 
+let visits_to engine w u v =
+  let n = ref 0 in
+  ignore (P.Reveal.bfs_via engine w u ~stop:(fun x -> x = v) ~visit:(fun _ _ -> incr n));
+  !n
+
+let test_engines_metrics_blind () =
+  (* Turning metrics on must not change which engine runs: an unlimited
+     early-stopping [connected] on a cached world stays on the bitset
+     engine, so [reveal.visited] is the bitset engine's visit count. The
+     world is one where the queue engine stops after fewer visits. *)
+  let w = P.World.create hypercube6 ~p:0.6 ~seed:3L in
+  let bitset = visits_to P.Reveal.Bitset w 0 63 in
+  Alcotest.(check bool) "arena visits a different count" true
+    (visits_to P.Reveal.Arena w 0 63 <> bitset);
+  let registry = Obs.Metrics.create () in
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+      Obs.Metrics.with_ambient registry (fun () ->
+          ignore (P.Reveal.connected w 0 63)));
+  Alcotest.(check int) "reveal.visited" bitset
+    (Obs.Metrics.peek registry "reveal.visited")
+
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch                                                  *)
 
@@ -1475,6 +1497,7 @@ let () =
         [
           case "differential agreement" test_engines_differential;
           case "limit convention" test_engines_limit_counts;
+          case "metrics keep the engine" test_engines_metrics_blind;
         ] );
       ( "scratch",
         [

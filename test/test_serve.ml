@@ -431,7 +431,7 @@ let test_telemetry_jobs_invariant () =
            (fun (name, h) ->
              String.length name > 14
              && String.sub name 0 14 = "serve.latency."
-             && h.Obs.Telemetry.h_count > 0)
+             && h.Obs.Hist.count > 0)
            v.Obs.Telemetry.hists);
       Alcotest.(check (option (float 0.0)))
         "answered gauge" (Some 24.0)
