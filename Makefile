@@ -77,10 +77,14 @@ chaos-smoke:
 # exactly. Leg 2: the churn sweep experiment (E26) killed mid-run by a
 # die@N plan (exit 137) must --resume from the checkpoint at a
 # different job count byte-identically, restoring finished chunks
-# (value cells) instead of recomputing them.
+# (value cells) instead of recomputing them. Leg 3: the full-size
+# distributed-lookup experiment (E18, one Simrun cell per failure rate)
+# must be byte-identical at --jobs 1 and 4, and a checkpointed run
+# killed after its first journaled chunk must --resume at another job
+# count byte-identically, restoring that chunk.
 churn-smoke:
 	mkdir -p artifacts
-	rm -rf artifacts/CHURN_ckpt
+	rm -rf artifacts/CHURN_ckpt artifacts/CHURN_e18_ckpt
 	dune exec bin/faultroute.exe -- simulate hypercube:8 -p 1.0 --protocol gossip --churn 'fail=0.05,repair=0.3,seed=7' --rounds 40 --seed 11 --jobs 1 > artifacts/CHURN_sim_j1.txt
 	dune exec bin/faultroute.exe -- simulate hypercube:8 -p 1.0 --protocol gossip --churn 'fail=0.05,repair=0.3,seed=7' --rounds 40 --seed 11 --jobs 4 > artifacts/CHURN_sim_j4.txt
 	cmp artifacts/CHURN_sim_j1.txt artifacts/CHURN_sim_j4.txt
@@ -93,6 +97,13 @@ churn-smoke:
 	dune exec bin/faultroute.exe -- exp E26 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHURN_ckpt --resume --metrics-out artifacts/CHURN_metrics.json > artifacts/CHURN_e26_resumed.txt
 	cmp artifacts/CHURN_e26_clean.txt artifacts/CHURN_e26_resumed.txt
 	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHURN_metrics.json
+	dune exec bin/faultroute.exe -- exp E18 --jobs 1 --seed 1 > artifacts/CHURN_e18_j1.txt
+	dune exec bin/faultroute.exe -- exp E18 --jobs 4 --seed 1 > artifacts/CHURN_e18_j4.txt
+	cmp artifacts/CHURN_e18_j1.txt artifacts/CHURN_e18_j4.txt
+	dune exec bin/faultroute.exe -- exp E18 --jobs 1 --seed 1 --checkpoint artifacts/CHURN_e18_ckpt --inject 'die@1' > /dev/null 2>&1; test $$? -eq 137
+	dune exec bin/faultroute.exe -- exp E18 --jobs 2 --seed 1 --checkpoint artifacts/CHURN_e18_ckpt --resume --metrics-out artifacts/CHURN_e18_metrics.json > artifacts/CHURN_e18_resumed.txt
+	cmp artifacts/CHURN_e18_j1.txt artifacts/CHURN_e18_resumed.txt
+	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHURN_e18_metrics.json
 
 # The query service end to end. Leg 1: replay the committed 10k-query
 # file, concatenated to 100k, against the 3-world example manifest at

@@ -11,7 +11,11 @@
 
    The paper's Section 1.3 conclusion — under heavy faults flooding and
    gossip remain latency-efficient for locating data while routing-based
-   exact search fails — becomes three measured columns. *)
+   exact search fails — becomes three measured columns.
+
+   Each failure rate is one Simrun cell, drawn from its own stream
+   split, so the sweep is parallel, supervised and checkpoint/resumable;
+   cells fold in index order. *)
 
 let id = "E18"
 let title = "Distributed lookup on a faulty overlay: flood vs gossip vs greedy"
@@ -28,6 +32,91 @@ let run ?(quick = false) stream =
   let graph = Topology.Hypercube.graph n in
   let source = 0 in
   let target = Topology.Hypercube.antipode ~n source in
+  let qs_arr = Array.of_list qs in
+  let key =
+    Printf.sprintf "e18;graph=%s;qs=%s;trials=%d;seed=%Ld" graph.Topology.Graph.name
+      (String.concat "," (List.map (Printf.sprintf "%.17g") qs))
+      trials (Prng.Stream.seed stream)
+  in
+  let compute index =
+    let p = 1.0 -. qs_arr.(index) in
+    let substream = Prng.Stream.split stream index in
+    let flood_latency = ref Stats.Summary.empty in
+    let flood_messages = ref Stats.Summary.empty in
+    let gossip_rounds = ref Stats.Summary.empty in
+    let greedy_hops = ref Stats.Summary.empty in
+    let greedy_successes = ref 0 in
+    let completed = ref 0 in
+    let attempt = ref 0 in
+    while !completed < trials && !attempt < trials * 50 do
+      incr attempt;
+      let seed = Prng.Coin.derive (Prng.Stream.seed substream) !attempt in
+      let world = Worldpool.build graph ~p ~seed in
+      match Percolation.Reveal.connected world source target with
+      | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> ()
+      | Percolation.Reveal.Connected _ ->
+          incr completed;
+          (* Flood. *)
+          let flood = Netsim.Engine.create ~seed world Netsim.Flood.protocol in
+          Netsim.Flood.start flood ~source;
+          (match
+             Netsim.Engine.run flood ~until:(fun e ->
+                 Netsim.Flood.informed_at e target <> None)
+           with
+          | `Stopped _ -> (
+              match Netsim.Flood.latency flood ~source ~target with
+              | Some latency ->
+                  flood_latency :=
+                    Stats.Summary.add !flood_latency (float_of_int latency)
+              | None -> ())
+          | `Quiescent _ | `Out_of_rounds -> ());
+          flood_messages :=
+            Stats.Summary.add !flood_messages
+              (float_of_int
+                 (Netsim.Metrics.messages_sent (Netsim.Engine.metrics flood)));
+          (* Gossip. *)
+          let gossip = Netsim.Engine.create ~seed world Netsim.Gossip.protocol in
+          Netsim.Gossip.start gossip ~source;
+          (match
+             Netsim.Engine.run ~max_rounds:2000 gossip ~until:(fun e ->
+                 Netsim.Gossip.informed_at e target <> None)
+           with
+          | `Stopped rounds ->
+              gossip_rounds := Stats.Summary.add !gossip_rounds (float_of_int rounds)
+          | `Quiescent _ | `Out_of_rounds -> ());
+          (* Greedy token. *)
+          let greedy =
+            Netsim.Engine.create ~seed world
+              (Netsim.Greedy_forward.protocol ~target
+                 ~metric:Topology.Hypercube.hamming)
+          in
+          Netsim.Greedy_forward.start greedy ~source;
+          (match
+             Netsim.Engine.run greedy ~until:(fun e ->
+                 Netsim.Greedy_forward.arrived e ~target <> None)
+           with
+          | `Stopped _ -> (
+              incr greedy_successes;
+              match Netsim.Greedy_forward.hops greedy ~target with
+              | Some hops -> greedy_hops := Stats.Summary.add !greedy_hops (float_of_int hops)
+              | None -> ())
+          | `Quiescent _ | `Out_of_rounds -> ())
+    done;
+    (* Means are carried bit-exactly ([nan] for an empty summary), so
+       the table is the one a single-domain fold would print. *)
+    [|
+      float_of_int !completed;
+      float_of_int !greedy_successes;
+      Stats.Summary.mean !flood_latency;
+      Stats.Summary.mean !flood_messages;
+      Stats.Summary.mean !gossip_rounds;
+      Stats.Summary.mean !greedy_hops;
+    |]
+  in
+  (* The rows cost about the same and there are few of them: one row
+     per chunk lets a domain that the host slows down hand its share
+     to the others. *)
+  let cells = Simrun.run ~chunk_size:1 ~key ~count:(Array.length qs_arr) compute in
   let table =
     ref
       (Stats.Table.create
@@ -42,94 +131,31 @@ let run ?(quick = false) stream =
            ])
   in
   let per_q = ref [] in
-  List.iteri
+  Array.iteri
     (fun index q ->
-      let p = 1.0 -. q in
-      let substream = Prng.Stream.split stream index in
-      let flood_latency = ref Stats.Summary.empty in
-      let flood_messages = ref Stats.Summary.empty in
-      let gossip_rounds = ref Stats.Summary.empty in
-      let greedy_hops = ref Stats.Summary.empty in
-      let greedy_successes = ref 0 in
-      let completed = ref 0 in
-      let attempt = ref 0 in
-      while !completed < trials && !attempt < trials * 50 do
-        incr attempt;
-        let seed = Prng.Coin.derive (Prng.Stream.seed substream) !attempt in
-        let world = Worldpool.build graph ~p ~seed in
-        match Percolation.Reveal.connected world source target with
-        | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> ()
-        | Percolation.Reveal.Connected _ ->
-            incr completed;
-            (* Flood. *)
-            let flood = Netsim.Engine.create ~seed world Netsim.Flood.protocol in
-            Netsim.Flood.start flood ~source;
-            (match
-               Netsim.Engine.run flood ~until:(fun e ->
-                   Netsim.Flood.informed_at e target <> None)
-             with
-            | `Stopped _ -> (
-                match Netsim.Flood.latency flood ~source ~target with
-                | Some latency ->
-                    flood_latency :=
-                      Stats.Summary.add !flood_latency (float_of_int latency)
-                | None -> ())
-            | `Quiescent _ | `Out_of_rounds -> ());
-            flood_messages :=
-              Stats.Summary.add !flood_messages
-                (float_of_int
-                   (Netsim.Metrics.messages_sent (Netsim.Engine.metrics flood)));
-            (* Gossip. *)
-            let gossip = Netsim.Engine.create ~seed world Netsim.Gossip.protocol in
-            Netsim.Gossip.start gossip ~source;
-            (match
-               Netsim.Engine.run ~max_rounds:2000 gossip ~until:(fun e ->
-                   Netsim.Gossip.informed_at e target <> None)
-             with
-            | `Stopped rounds ->
-                gossip_rounds := Stats.Summary.add !gossip_rounds (float_of_int rounds)
-            | `Quiescent _ | `Out_of_rounds -> ());
-            (* Greedy token. *)
-            let greedy =
-              Netsim.Engine.create ~seed world
-                (Netsim.Greedy_forward.protocol ~target
-                   ~metric:Topology.Hypercube.hamming)
-            in
-            Netsim.Greedy_forward.start greedy ~source;
-            (match
-               Netsim.Engine.run greedy ~until:(fun e ->
-                   Netsim.Greedy_forward.arrived e ~target <> None)
-             with
-            | `Stopped _ -> (
-                incr greedy_successes;
-                match Netsim.Greedy_forward.hops greedy ~target with
-                | Some hops -> greedy_hops := Stats.Summary.add !greedy_hops (float_of_int hops)
-                | None -> ())
-            | `Quiescent _ | `Out_of_rounds -> ())
-      done;
-      per_q :=
-        ( (if !completed = 0 then nan
-           else float_of_int !greedy_successes /. float_of_int !completed),
-          (if Stats.Summary.count !flood_latency = 0 then nan
-           else Stats.Summary.mean !flood_latency),
-          (if Stats.Summary.count !gossip_rounds = 0 then nan
-           else Stats.Summary.mean !gossip_rounds) )
-        :: !per_q;
-      let mean_or_dash s =
-        if Stats.Summary.count s = 0 then "-"
-        else Printf.sprintf "%.1f" (Stats.Summary.mean s)
-      in
-      table :=
-        Stats.Table.add_row !table
-          [
-            Printf.sprintf "%.2f" q;
-            mean_or_dash !flood_latency;
-            mean_or_dash !flood_messages;
-            mean_or_dash !gossip_rounds;
-            Printf.sprintf "%d/%d" !greedy_successes !completed;
-            mean_or_dash !greedy_hops;
-          ])
-    qs;
+      match cells.(index) with
+      | [| completed; successes; flood_latency; flood_messages; gossip_rounds; greedy_hops |]
+        ->
+          per_q :=
+            ( (if completed = 0.0 then nan else successes /. completed),
+              flood_latency,
+              gossip_rounds )
+            :: !per_q;
+          let mean_or_dash mean =
+            if Float.is_nan mean then "-" else Printf.sprintf "%.1f" mean
+          in
+          table :=
+            Stats.Table.add_row !table
+              [
+                Printf.sprintf "%.2f" q;
+                mean_or_dash flood_latency;
+                mean_or_dash flood_messages;
+                mean_or_dash gossip_rounds;
+                Printf.sprintf "%.0f/%.0f" successes completed;
+                mean_or_dash greedy_hops;
+              ]
+      | _ -> () (* quarantined cell: skip *))
+    qs_arr;
   let notes =
     [
       Printf.sprintf

@@ -11,9 +11,24 @@
 
 let chunk_size = 4
 
-let chunks ?jobs ~count ~key ~lookup ~store ~pack ~until item =
+(* Minor collections stop every domain: one that the host has preempted
+   holds all the others at the next collection until it runs again. A
+   domain that runs chunks therefore gets a minor heap of at least
+   [nursery_words] (8 MB), four times the runtime default, so that a
+   parallel campaign meets at a quarter as many collections and
+   promotes less of what dies within an item. The domain keeps it;
+   pool workers end with their dispatch. *)
+let nursery_words = 1 lsl 20
+
+let ensure_nursery () =
+  let gc = Gc.get () in
+  if gc.Gc.minor_heap_size < nursery_words then
+    Gc.set { gc with Gc.minor_heap_size = nursery_words }
+
+let sized_chunks ?jobs ~chunk_size ~count ~key ~lookup ~store ~pack ~until item =
   let n_chunks = (count + chunk_size - 1) / chunk_size in
   let cells c =
+    ensure_nursery ();
     let lo = c * chunk_size in
     Array.init (Stdlib.min count (lo + chunk_size) - lo) (fun k ->
         if Engine_par.Supervisor.watchdog_armed () then
@@ -64,15 +79,19 @@ let chunks ?jobs ~count ~key ~lookup ~store ~pack ~until item =
       Some summary )
   end
 
-let digest ~key ~count =
+let chunks ?jobs ~count ~key ~lookup ~store ~pack ~until item =
+  sized_chunks ?jobs ~chunk_size ~count ~key ~lookup ~store ~pack ~until item
+
+let digest ~key ~count ~chunk_size =
   Checkpoint.digest_key
     (Printf.sprintf "simrun;%s;count=%d;chunk=%d" key count chunk_size)
 
-let run ?jobs ~key ~count compute =
+let run ?jobs ?(chunk_size = chunk_size) ~key ~count compute =
   if count < 0 then invalid_arg "Simrun.run: negative count";
+  if chunk_size < 1 then invalid_arg "Simrun.run: chunk_size must be positive";
   let chunks, _summary =
-    chunks ?jobs ~count
-      ~key:(lazy (digest ~key ~count))
+    sized_chunks ?jobs ~chunk_size ~count
+      ~key:(lazy (digest ~key ~count ~chunk_size))
       ~lookup:Checkpoint.lookup_values ~store:Checkpoint.store_values
       ~pack:Fun.id
       ~until:(fun _ -> false)

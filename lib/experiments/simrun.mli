@@ -20,7 +20,8 @@
     configuration restores bit-identical cells. *)
 
 val chunk_size : int
-(** Indices per supervised/checkpointed chunk (4). *)
+(** Indices per supervised/checkpointed chunk of {!chunks}, and of
+    {!run} unless its caller names another size (4). *)
 
 val chunks :
   ?jobs:int ->
@@ -44,13 +45,27 @@ val chunks :
     returned, and a quarantined chunk comes back as [None]. With a
     checkpoint active, [key] is forced once and every chunk's cells
     are first looked up with [lookup] and, on a miss, computed and
-    journaled with [store]. *)
+    journaled with [store].
+
+    A domain that runs a chunk gets a minor heap of at least 2{^20}
+    words and keeps it: minor collections stop every domain, so a larger
+    heap means fewer points where one preempted domain holds up the
+    others. *)
 
 val run :
-  ?jobs:int -> key:string -> count:int -> (int -> float array) -> float array array
+  ?jobs:int ->
+  ?chunk_size:int ->
+  key:string ->
+  count:int ->
+  (int -> float array) ->
+  float array array
 (** [run ~key ~count compute] evaluates [compute i] for every
     [i < count] and returns the cells in index order. [jobs] defaults
-    to the ambient pool default. Under supervision, a quarantined
+    to the ambient pool default. [chunk_size] (default {!chunk_size})
+    is a constant of the caller, never a function of the job count, and
+    is named in the checkpoint key; few, long items want
+    [~chunk_size:1], so that an idle domain can take the remaining items
+    one at a time. Under supervision, a quarantined
     chunk's cells come back as empty arrays (callers skip them; the
     loss is visible in the supervisor's global summary and faults/v1).
-    @raise Invalid_argument on negative [count]. *)
+    @raise Invalid_argument on negative [count] or [chunk_size < 1]. *)

@@ -1,7 +1,7 @@
 type 'message t = {
-  node : int;
+  mutable node : int;
   round : int;
-  neighbors : int array;
+  mutable neighbors : int array;
   probe : int -> bool;
   send : int -> 'message -> unit;
   random_int : int -> int;

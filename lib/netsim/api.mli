@@ -4,15 +4,22 @@
     incident links, and whatever it has learnt through probing and
     messages — the distributed counterpart of Definition 1's locality.
     Everything a protocol may do to the outside world goes through this
-    record. *)
+    record. It is valid only for the step it is passed to: the engine
+    passes one record to every node of a round, setting [node] and
+    [neighbors] before each step, and its [probe], [send] and
+    [random_int] act for whichever node is stepping. Protocols read the
+    mutable fields and never write them. *)
 
 type 'message t = {
-  node : int;  (** This node's id. *)
+  mutable node : int;  (** This node's id. *)
   round : int;  (** Current round number (first round is 1). *)
-  neighbors : int array;
+  mutable neighbors : int array;
       (** Potential neighbours in the fault-free topology. Whether each
           link survived percolation is only learnt by probing or by
-          receiving a message over it. *)
+          receiving a message over it. The array is a read-only row
+          that the engine builds once and hands to this node every
+          round: a protocol must copy it before mutating it (as
+          {!Greedy_forward} does before sorting). *)
   probe : int -> bool;
       (** [probe v] reveals whether the incident link to [v] is open.
           Counted in the global probe metrics (distinct edges once).

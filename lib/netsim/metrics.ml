@@ -1,32 +1,45 @@
 (* Cost accounting is an Obs.Metrics registry under [netsim.*] names;
-   the historical fields survive as thin counter views. *)
+   the engine bumps counter handles resolved once per engine, and the
+   historical fields survive as live reads of the same cells. *)
 
-type t = Obs.Metrics.t
+type t = {
+  registry : Obs.Metrics.t;
+  rounds : Obs.Metrics.handle;
+  sent : Obs.Metrics.handle;
+  delivered : Obs.Metrics.handle;
+  raw : Obs.Metrics.handle;
+  distinct : Obs.Metrics.handle;
+  churn_blocked : Obs.Metrics.handle;
+}
 
-let k_rounds = "netsim.rounds"
-let k_sent = "netsim.messages_sent"
-let k_delivered = "netsim.messages_delivered"
-let k_raw = "netsim.raw_probes"
-let k_distinct = "netsim.distinct_probes"
-let k_churn_blocked = "netsim.churn.blocked"
+let create () =
+  let registry = Obs.Metrics.create () in
+  let handle = Obs.Metrics.handle registry in
+  {
+    registry;
+    rounds = handle "netsim.rounds";
+    sent = handle "netsim.messages_sent";
+    delivered = handle "netsim.messages_delivered";
+    raw = handle "netsim.raw_probes";
+    distinct = handle "netsim.distinct_probes";
+    churn_blocked = handle "netsim.churn.blocked";
+  }
 
-let create () = Obs.Metrics.create ()
+let tick_round t = Obs.Metrics.bump t.rounds
+let tick_sent t = Obs.Metrics.bump t.sent
+let tick_delivered t = Obs.Metrics.bump t.delivered
+let tick_raw_probe t = Obs.Metrics.bump t.raw
+let tick_distinct_probe t = Obs.Metrics.bump t.distinct
+let tick_churn_blocked t = Obs.Metrics.bump t.churn_blocked
 
-let tick_round t = Obs.Metrics.incr t k_rounds
-let tick_sent t = Obs.Metrics.incr t k_sent
-let tick_delivered t = Obs.Metrics.incr t k_delivered
-let tick_raw_probe t = Obs.Metrics.incr t k_raw
-let tick_distinct_probe t = Obs.Metrics.incr t k_distinct
-let tick_churn_blocked t = Obs.Metrics.incr t k_churn_blocked
+let rounds t = Obs.Metrics.read t.rounds
+let messages_sent t = Obs.Metrics.read t.sent
+let messages_delivered t = Obs.Metrics.read t.delivered
+let raw_probes t = Obs.Metrics.read t.raw
+let distinct_probes t = Obs.Metrics.read t.distinct
+let churn_blocked t = Obs.Metrics.read t.churn_blocked
 
-let rounds t = Obs.Metrics.peek t k_rounds
-let messages_sent t = Obs.Metrics.peek t k_sent
-let messages_delivered t = Obs.Metrics.peek t k_delivered
-let raw_probes t = Obs.Metrics.peek t k_raw
-let distinct_probes t = Obs.Metrics.peek t k_distinct
-let churn_blocked t = Obs.Metrics.peek t k_churn_blocked
-
-let snapshot = Obs.Metrics.snapshot
+let snapshot t = Obs.Metrics.snapshot t.registry
 
 let delivery_rate t =
   let sent = messages_sent t in

@@ -1,13 +1,16 @@
 (** Global cost accounting of a simulation run.
 
-    Since the observability layer landed this is a thin view over an
-    {!Obs.Metrics} registry: every count lives in a counter named
-    [netsim.rounds], [netsim.messages_sent], [netsim.messages_delivered],
-    [netsim.raw_probes] or [netsim.distinct_probes], and {!snapshot}
-    exposes them in the same mergeable form the trial engine uses —
-    [faultroute simulate --metrics-out] writes them alongside
-    everything else. The accessors below are live reads of the
-    underlying counters. *)
+    A view over one {!Obs.Metrics} registry: every count lives in a
+    counter named [netsim.rounds], [netsim.messages_sent],
+    [netsim.messages_delivered], [netsim.raw_probes],
+    [netsim.distinct_probes] or [netsim.churn.blocked]. The engine
+    bumps {!Obs.Metrics.handle}s resolved once at {!create}, so a tick
+    costs no name hashing; a counter enters the registry on its first
+    tick, so a count that never happened (no probes, no churn) is
+    absent from {!snapshot} rather than present at 0. {!snapshot}
+    exposes the counters in the same mergeable form the trial engine
+    uses — [faultroute simulate --metrics-out] writes them alongside
+    everything else. The accessors below are live reads. *)
 
 type t
 

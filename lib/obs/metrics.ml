@@ -18,6 +18,31 @@ let peek t name =
   | Some (Hist _) -> invalid_arg ("Metrics.peek: " ^ name ^ " is a histogram")
   | None -> 0
 
+(* A handle caches the counter's cell so hot loops bump it without
+   hashing the name. The name enters the registry on the first bump —
+   adopting a cell someone else registered meanwhile — so a handle that
+   is never bumped leaves the key set of every snapshot unchanged. *)
+type handle = { registry : t; name : string; mutable cell : int ref; mutable live : bool }
+
+let handle t name =
+  match Hashtbl.find_opt t name with
+  | Some (Counter r) -> { registry = t; name; cell = r; live = true }
+  | Some (Hist _) -> invalid_arg ("Metrics.handle: " ^ name ^ " is a histogram")
+  | None -> { registry = t; name; cell = ref 0; live = false }
+
+let register h =
+  (match Hashtbl.find_opt h.registry h.name with
+  | Some (Counter r) -> h.cell <- r
+  | Some (Hist _) -> invalid_arg ("Metrics.bump: " ^ h.name ^ " is a histogram")
+  | None -> Hashtbl.replace h.registry h.name (Counter h.cell));
+  h.live <- true
+
+let[@inline] bump h =
+  if not h.live then register h;
+  Stdlib.incr h.cell
+
+let read h = if h.live then !(h.cell) else peek h.registry h.name
+
 let observe t name v =
   match Hashtbl.find_opt t name with
   | Some (Hist h) -> Hist.observe h v

@@ -36,10 +36,28 @@ val observe : t -> string -> int -> unit
     power-of-two buckets plus exact count / sum / min / max). *)
 
 val peek : t -> string -> int
-(** Live value of a counter in the registry, 0 when absent — for thin
-    metric views (e.g. [Netsim.Metrics]) that read while the run is
-    still mutating.
+(** Live value of a counter in the registry, 0 when absent — for
+    readers that look while the run is still mutating ({!read} is the
+    same read through a {!handle}).
     @raise Invalid_argument on a histogram name. *)
+
+type handle
+(** A counter resolved once, for hot loops that would otherwise hash
+    its name on every increment. *)
+
+val handle : t -> string -> handle
+(** [handle t name] resolves the counter [name] of [t] without creating
+    it: the name is registered (at 0) only on the first {!bump}, so
+    snapshots of a registry whose handle was never bumped have the same
+    key set as if the handle had never been taken.
+    @raise Invalid_argument if [name] is a histogram. *)
+
+val bump : handle -> unit
+(** {!incr} through the handle: one branch and one store once the
+    counter is registered. *)
+
+val read : handle -> int
+(** Live value of the handle's counter — {!peek} without the lookup. *)
 
 (** {2 Snapshots} *)
 

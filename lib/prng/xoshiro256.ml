@@ -1,9 +1,20 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The state is four 64-bit words held in 32 bytes rather than four
+   mutable [int64] fields: storing an [int64] into a record field boxes
+   it, so each draw allocated four boxes, and on a generator already in
+   the major heap every one of them survived the next minor collection.
+   The bytes accessors read and write the words unboxed. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_ne t (i * 8)
+let set t i v = Bytes.set_int64_ne t (i * 8) v
+
+let make s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
@@ -11,7 +22,7 @@ let rotl x k =
 let of_state (s0, s1, s2, s3) =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
     invalid_arg "Xoshiro256.of_state: all-zero state";
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
 
 let create seed =
   let sm = Splitmix64.create seed in
@@ -21,20 +32,23 @@ let create seed =
   let s3 = Splitmix64.next sm in
   (* SplitMix64 output is never all-zero across four consecutive draws for
      any seed in practice, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then { s0 = 1L; s1; s2; s3 }
-  else { s0; s1; s2; s3 }
+  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then make 1L s1 s2 s3
+  else make s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let next t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 (Int64.logxor s2 tmp);
+  set t 3 (rotl s3 45);
   result
 
 let next_int_in t bound =
@@ -64,15 +78,15 @@ let jump t =
     (fun word ->
       for b = 0 to 63 do
         if Int64.logand word (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1;
-          s2 := Int64.logxor !s2 t.s2;
-          s3 := Int64.logxor !s3 t.s3
+          s0 := Int64.logxor !s0 (get t 0);
+          s1 := Int64.logxor !s1 (get t 1);
+          s2 := Int64.logxor !s2 (get t 2);
+          s3 := Int64.logxor !s3 (get t 3)
         end;
         ignore (next t)
       done)
     jump_table;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
+  set t 0 !s0;
+  set t 1 !s1;
+  set t 2 !s2;
+  set t 3 !s3

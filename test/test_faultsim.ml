@@ -386,9 +386,9 @@ let simrun_compute stream index =
     float_of_int (Netsim.Metrics.churn_blocked m);
   |]
 
-let run_simrun ?jobs () =
+let run_simrun ?jobs ?chunk_size () =
   let stream = Prng.Stream.create 23L in
-  Experiments.Simrun.run ?jobs ~key:"test-simrun;seed=23" ~count:10
+  Experiments.Simrun.run ?jobs ?chunk_size ~key:"test-simrun;seed=23" ~count:10
     (simrun_compute stream)
 
 let test_simrun_jobs_identical () =
@@ -436,6 +436,56 @@ let test_simrun_checkpoint_resume () =
   Alcotest.(check int) "nothing recomputed" 0 (Experiments.Checkpoint.appended ());
   Alcotest.(check bool) "cells restored from the journal" true
     (Experiments.Checkpoint.restored () > 0)
+
+let test_simrun_chunk_size () =
+  (* The chunk size cuts the index space differently but never shows in
+     the cells, at any job count; it is part of the checkpoint key, so a
+     journal written with one size is not restored under another. *)
+  let reference = with_clean_supervision (fun () -> run_simrun ~jobs:1 ()) in
+  List.iter
+    (fun (chunk_size, jobs) ->
+      with_clean_supervision @@ fun () ->
+      Alcotest.(check bool)
+        (Printf.sprintf "chunk size %d, jobs %d identical" chunk_size jobs)
+        true
+        (Stdlib.compare reference (run_simrun ~jobs ~chunk_size ()) = 0))
+    [ (1, 1); (1, 4); (3, 2); (10, 4); (16, 2) ];
+  Alcotest.check_raises "chunk size 0"
+    (Invalid_argument "Simrun.run: chunk_size must be positive") (fun () ->
+      ignore (run_simrun ~chunk_size:0 ()));
+  with_dir @@ fun dir ->
+  with_clean_supervision @@ fun () ->
+  configure_exn ~dir ~resume:false;
+  ignore (run_simrun ~jobs:1 ());
+  Experiments.Checkpoint.deconfigure ();
+  configure_exn ~dir ~resume:true;
+  let resumed = run_simrun ~jobs:2 ~chunk_size:1 () in
+  Alcotest.(check bool) "other chunk size byte-identical" true
+    (Stdlib.compare reference resumed = 0);
+  Alcotest.(check int) "nothing restored under another chunk size" 0
+    (Experiments.Checkpoint.restored ());
+  Alcotest.(check bool) "recomputed and journaled" true
+    (Experiments.Checkpoint.appended () > 0)
+
+let test_simrun_nursery () =
+  (* Every item runs on a domain whose minor heap is at least 2^20
+     words, on the caller's domain and on spawned workers alike. *)
+  List.iter
+    (fun jobs ->
+      let heaps =
+        with_clean_supervision (fun () ->
+            Experiments.Simrun.run ~jobs ~chunk_size:1 ~key:"test-nursery"
+              ~count:6 (fun _ ->
+                [| float_of_int (Gc.get ()).Gc.minor_heap_size |]))
+      in
+      Array.iteri
+        (fun i cell ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d item %d minor heap %.0f" jobs i cell.(0))
+            true
+            (cell.(0) >= float_of_int (1 lsl 20)))
+        heaps)
+    [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine through the one chunk runner                             *)
@@ -571,6 +621,8 @@ let () =
           case "jobs identical" test_simrun_jobs_identical;
           case "crash plan identical" test_simrun_crash_plan_identical;
           case "checkpoint resume" test_simrun_checkpoint_resume;
+          case "chunk size" test_simrun_chunk_size;
+          case "nursery" test_simrun_nursery;
           case "quarantined chunk kept empty" test_simrun_quarantine;
         ] );
       ("atomic_file", [ case "write and append" test_atomic_file ]);

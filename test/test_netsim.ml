@@ -44,13 +44,68 @@ let test_engine_distinct_probe_accounting () =
   Alcotest.(check int) "raw" 16 (Netsim.Metrics.raw_probes metrics);
   Alcotest.(check int) "distinct" 4 (Netsim.Metrics.distinct_probes metrics)
 
+(* Records every delivery as (round, sender) at the receiving node. *)
+let recording_protocol =
+  {
+    Netsim.Protocol.name = "record";
+    init = (fun ~node:_ -> []);
+    step =
+      (fun api state inbox ->
+        List.map (fun (sender, ()) -> (api.Netsim.Api.round, sender)) inbox @ state);
+    idle = (fun _ -> true);
+  }
+
 let test_engine_injection_and_delivery () =
-  let engine = Netsim.Engine.create (world (cube 3)) probing_protocol in
-  Netsim.Engine.inject engine ~node:5 ~sender:5 Netsim.Flood.Rumor;
-  ignore engine;
-  (* type mismatch guard: this test only checks injection counting via
-     a fresh, correctly-typed engine below *)
-  ()
+  let engine = Netsim.Engine.create (world (cube 3)) recording_protocol in
+  Netsim.Engine.inject engine ~node:5 ~sender:2 ();
+  Alcotest.(check int) "in flight before round 1" 1 (Netsim.Engine.in_flight engine);
+  Netsim.Engine.run_round engine;
+  Alcotest.(check (list (pair int int))) "node 5 got it at round 1 from 2"
+    [ (1, 2) ] (Netsim.Engine.state engine 5);
+  for node = 0 to 7 do
+    if node <> 5 then
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "node %d got nothing" node)
+        [] (Netsim.Engine.state engine node)
+  done;
+  Alcotest.(check int) "nothing in flight after" 0 (Netsim.Engine.in_flight engine);
+  let metrics = Netsim.Engine.metrics engine in
+  Alcotest.(check int) "not counted as sent" 0 (Netsim.Metrics.messages_sent metrics);
+  Alcotest.(check int) "not counted as delivered" 0
+    (Netsim.Metrics.messages_delivered metrics)
+
+(* A counter enters the snapshot on its first tick: an unchurned flood
+   never probes and is never blocked, so those names are absent, not 0. *)
+let test_engine_snapshot_key_set () =
+  let names engine =
+    List.map fst
+      (Obs.Metrics.counters (Netsim.Metrics.snapshot (Netsim.Engine.metrics engine)))
+  in
+  let flood = Netsim.Engine.create (world ~p:0.7 (cube 5)) Netsim.Flood.protocol in
+  Netsim.Flood.start flood ~source:0;
+  ignore (Netsim.Engine.run flood ~until:(fun _ -> false));
+  Alcotest.(check (list string)) "unchurned flood"
+    [ "netsim.messages_delivered"; "netsim.messages_sent"; "netsim.rounds" ]
+    (names flood);
+  let fresh = Netsim.Engine.create (world (cube 5)) Netsim.Flood.protocol in
+  Alcotest.(check (list string)) "no round run" [] (names fresh);
+  let churned =
+    Netsim.Engine.create
+      ~churn:(Netsim.Churn.make ~fail:0.3 ~repair:0.3 ~seed:2L ())
+      (world (cube 5)) Netsim.Gossip.protocol
+  in
+  Netsim.Gossip.start churned ~source:0;
+  for _ = 1 to 30 do
+    Netsim.Engine.run_round churned
+  done;
+  Alcotest.(check (list string)) "churned gossip"
+    [
+      "netsim.churn.blocked";
+      "netsim.messages_delivered";
+      "netsim.messages_sent";
+      "netsim.rounds";
+    ]
+    (names churned)
 
 let test_engine_message_loss_on_closed_links () =
   (* In an all-closed world flooding informs only the source. *)
@@ -74,6 +129,194 @@ let test_engine_determinism () =
     (Netsim.Gossip.informed_count engine, (Netsim.Metrics.messages_sent (Netsim.Engine.metrics engine)))
   in
   Alcotest.(check (pair int int)) "replayable" (run ()) (run ())
+
+(* Golden counts: small seeded runs of every shipped protocol (and an
+   inbox-order probe) pinned to the exact outcome, rounds, message and
+   probe counts and a fold of the final states. Any change to the
+   round loop — delivery order, stream derivation, capacity drains,
+   churn checks — shows up here as a changed line. *)
+
+let mix acc x = ((acc * 1_000_003) + x) land 0x3FFF_FFFF
+
+let golden_line engine outcome ~code =
+  let m = Netsim.Engine.metrics engine in
+  let fold =
+    Netsim.Engine.fold_states engine ~init:17 ~f:(fun acc node s ->
+        mix (mix acc node) (code s))
+  in
+  Printf.sprintf
+    "%s rounds=%d sent=%d delivered=%d raw=%d distinct=%d blocked=%d \
+     in_flight=%d fold=%d"
+    (match outcome with
+    | `Stopped r -> Printf.sprintf "stopped@%d" r
+    | `Quiescent r -> Printf.sprintf "quiescent@%d" r
+    | `Out_of_rounds -> "out-of-rounds")
+    (Netsim.Metrics.rounds m) (Netsim.Metrics.messages_sent m)
+    (Netsim.Metrics.messages_delivered m) (Netsim.Metrics.raw_probes m)
+    (Netsim.Metrics.distinct_probes m) (Netsim.Metrics.churn_blocked m)
+    (Netsim.Engine.in_flight engine) fold
+
+let informed_code (s : Netsim.Flood.state) =
+  match s.informed_at with None -> 0 | Some r -> r + 1
+
+let gossip_code (s : Netsim.Gossip.state) =
+  match s.informed_at with None -> 0 | Some r -> r + 1
+
+(* Every node folds the senders of its inbox, in delivery order, into
+   its state, and keeps talking: all neighbours in round 1, then one
+   random neighbour per round while the round is below 8. *)
+let order_protocol =
+  {
+    Netsim.Protocol.name = "inbox-order";
+    init = (fun ~node -> node);
+    step =
+      (fun api state inbox ->
+        let state =
+          List.fold_left (fun acc (sender, ()) -> mix acc (sender + 1)) state inbox
+        in
+        let neighbors = api.Netsim.Api.neighbors in
+        let degree = Array.length neighbors in
+        if api.Netsim.Api.round = 1 then
+          Array.iter (fun v -> api.Netsim.Api.send v ()) neighbors
+        else if api.Netsim.Api.round < 8 && degree > 0 then
+          api.Netsim.Api.send neighbors.(api.Netsim.Api.random_int degree) ();
+        mix state api.Netsim.Api.round);
+    idle = (fun _ -> true);
+  }
+
+let golden_runs () =
+  let until_never _ = false in
+  [
+    ( "flood",
+      let w = P.World.create (cube 7) ~p:0.6 ~seed:3L in
+      let e = Netsim.Engine.create w Netsim.Flood.protocol in
+      Netsim.Flood.start e ~source:0;
+      let r =
+        Netsim.Engine.run e ~until:(fun e -> Netsim.Flood.informed_at e 127 <> None)
+      in
+      golden_line e r ~code:informed_code );
+    ( "gossip",
+      let w = P.World.create (cube 7) ~p:0.7 ~seed:4L in
+      let e = Netsim.Engine.create ~seed:9L w Netsim.Gossip.protocol in
+      Netsim.Gossip.start e ~source:0;
+      let r =
+        Netsim.Engine.run ~max_rounds:200 e ~until:(fun e ->
+            Netsim.Gossip.informed_at e 127 <> None)
+      in
+      golden_line e r ~code:gossip_code );
+    ( "greedy-forward",
+      let w = P.World.create (cube 8) ~p:0.9 ~seed:2L in
+      let e =
+        Netsim.Engine.create w
+          (Netsim.Greedy_forward.protocol ~target:255
+             ~metric:Topology.Hypercube.hamming)
+      in
+      Netsim.Greedy_forward.start e ~source:0;
+      let r =
+        Netsim.Engine.run e ~until:(fun e ->
+            Netsim.Greedy_forward.arrived e ~target:255 <> None)
+      in
+      golden_line e r ~code:(fun (s : Netsim.Greedy_forward.state) ->
+          let opt = function None -> 0 | Some r -> r + 1 in
+          (opt s.arrived_at * 1000) + opt s.dropped_at) );
+    ( "random-walk",
+      let w = P.World.create (cube 6) ~p:0.8 ~seed:5L in
+      let e = Netsim.Engine.create ~seed:6L w (Netsim.Random_walk.protocol ~target:63) in
+      Netsim.Random_walk.start e ~source:0;
+      let r =
+        Netsim.Engine.run ~max_rounds:3000 e ~until:(fun e ->
+            Netsim.Random_walk.arrived e ~target:63 <> None)
+      in
+      golden_line e r ~code:(fun (s : Netsim.Random_walk.state) ->
+          (s.visits * 4)
+          + (if s.holding then 2 else 0)
+          + if s.arrived_at <> None then 1 else 0) );
+    ( "butterfly capacity 1",
+      let n = 4 in
+      let w = P.World.create (Topology.Butterfly.graph n) ~p:0.85 ~seed:7L in
+      let e =
+        Netsim.Engine.create ~link_capacity:1 w (Netsim.Butterfly_route.protocol ~n)
+      in
+      Netsim.Butterfly_route.inject_permutation (Prng.Stream.create 8L) e ~n
+        ~passes:3;
+      let r = Netsim.Engine.run ~max_rounds:500 e ~until:until_never in
+      golden_line e r ~code:(fun (s : Netsim.Butterfly_route.state) ->
+          List.fold_left mix ((s.arrivals * 100) + s.dropped) s.arrival_rounds) );
+    ( "churned flood",
+      let w = P.World.create (cube 7) ~p:0.9 ~seed:10L in
+      let e =
+        Netsim.Engine.create
+          ~churn:(Netsim.Churn.make ~fail:0.1 ~repair:0.3 ~seed:5L ())
+          w Netsim.Flood.protocol
+      in
+      Netsim.Flood.start e ~source:0;
+      let r = Netsim.Engine.run ~max_rounds:100 e ~until:until_never in
+      golden_line e r ~code:informed_code );
+    ( "churned gossip",
+      let w = P.World.create (cube 6) ~p:1.0 ~seed:11L in
+      let e =
+        Netsim.Engine.create ~seed:12L
+          ~churn:(Netsim.Churn.make ~fail:0.2 ~repair:0.3 ~seed:6L ())
+          w Netsim.Gossip.protocol
+      in
+      Netsim.Gossip.start e ~source:0;
+      let r = Netsim.Engine.run ~max_rounds:40 e ~until:until_never in
+      golden_line e r ~code:gossip_code );
+    ( "inbox order",
+      let w = P.World.create (cube 5) ~p:0.7 ~seed:13L in
+      let e = Netsim.Engine.create ~seed:14L w order_protocol in
+      let r = Netsim.Engine.run ~max_rounds:10 e ~until:until_never in
+      golden_line e r ~code:Fun.id );
+    ( "inbox order capacity 2",
+      let w = P.World.create (cube 5) ~p:0.7 ~seed:13L in
+      let e = Netsim.Engine.create ~seed:14L ~link_capacity:2 w order_protocol in
+      let r = Netsim.Engine.run ~max_rounds:10 e ~until:until_never in
+      golden_line e r ~code:Fun.id );
+    ( "inbox order churned capacity 1",
+      let w = P.World.create (cube 5) ~p:0.8 ~seed:15L in
+      let e =
+        Netsim.Engine.create ~seed:16L ~link_capacity:1
+          ~churn:(Netsim.Churn.make ~fail:0.25 ~repair:0.3 ~seed:17L ())
+          w order_protocol
+      in
+      let r = Netsim.Engine.run ~max_rounds:12 e ~until:until_never in
+      golden_line e r ~code:Fun.id );
+  ]
+
+(* Recorded from the earlier engine (a Hashtbl of inboxes and fresh
+   closures per node per round); the array-based round loop reproduces
+   them exactly. *)
+let golden_expected =
+  [
+    ("flood",
+      "stopped@8 rounds=8 sent=896 delivered=522 raw=0 distinct=0 blocked=0 in_flight=34 fold=692652889");
+    ("gossip",
+      "stopped@20 rounds=20 sent=537 delivered=371 raw=0 distinct=0 blocked=0 in_flight=67 fold=163194582");
+    ("greedy-forward",
+      "stopped@9 rounds=9 sent=8 delivered=8 raw=10 distinct=10 blocked=0 in_flight=0 fold=593085857");
+    ("random-walk",
+      "stopped@365 rounds=365 sent=276 delivered=276 raw=364 distinct=147 blocked=0 in_flight=0 fold=24244390");
+    ("butterfly capacity 1",
+      "quiescent@14 rounds=14 sent=85 delivered=85 raw=97 distinct=67 blocked=0 in_flight=0 fold=959471288");
+    ("churned flood",
+      "quiescent@9 rounds=9 sent=896 delivered=635 raw=0 distinct=0 blocked=159 in_flight=0 fold=12276421");
+    ("churned gossip",
+      "out-of-rounds rounds=40 sent=1948 delivered=1178 raw=0 distinct=0 blocked=770 in_flight=42 fold=1005258677");
+    ("inbox order",
+      "quiescent@8 rounds=8 sent=352 delivered=263 raw=0 distinct=0 blocked=0 in_flight=0 fold=194195103");
+    ("inbox order capacity 2",
+      "quiescent@8 rounds=8 sent=352 delivered=263 raw=0 distinct=0 blocked=0 in_flight=0 fold=891818449");
+    ("inbox order churned capacity 1",
+      "quiescent@8 rounds=8 sent=352 delivered=242 raw=0 distinct=0 blocked=55 in_flight=0 fold=770830919");
+  ]
+
+let test_engine_golden_counts () =
+  List.iter
+    (fun (name, line) ->
+      Alcotest.(check string) name
+        (Option.value (List.assoc_opt name golden_expected) ~default:"?")
+        line)
+    (golden_runs ())
 
 (* ------------------------------------------------------------------ *)
 (* Flood                                                               *)
@@ -448,6 +691,55 @@ let test_inject_delivers_at_round_one () =
   Alcotest.(check int) "not counted as sent" 0
     (Netsim.Metrics.messages_sent (Netsim.Engine.metrics engine))
 
+(* Api.neighbors is a read-only row shared across rounds: after every
+   shipped protocol has run, each row a step was handed (checked by
+   content, at the end, so a later mutation also shows) must still be
+   the topology's neighbour list. *)
+let rows_intact name graph protocol ~start ~rounds =
+  let seen = ref [] in
+  let watched =
+    {
+      protocol with
+      Netsim.Protocol.step =
+        (fun api state inbox ->
+          seen := (api.Netsim.Api.node, api.Netsim.Api.neighbors) :: !seen;
+          protocol.Netsim.Protocol.step api state inbox);
+    }
+  in
+  let engine =
+    Netsim.Engine.create (P.World.create graph ~p:0.8 ~seed:21L) watched
+  in
+  start engine;
+  for _ = 1 to rounds do
+    Netsim.Engine.run_round engine
+  done;
+  Alcotest.(check bool) (name ^ " stepped") true (!seen <> []);
+  List.iter
+    (fun (node, row) ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s row %d" name node)
+        (graph.Topology.Graph.neighbors node)
+        row)
+    !seen
+
+let test_api_neighbors_untouched () =
+  let g = cube 6 in
+  rows_intact "flood" g Netsim.Flood.protocol ~rounds:10 ~start:(fun e ->
+      Netsim.Flood.start e ~source:0);
+  rows_intact "gossip" g Netsim.Gossip.protocol ~rounds:20 ~start:(fun e ->
+      Netsim.Gossip.start e ~source:0);
+  rows_intact "greedy-forward" g
+    (Netsim.Greedy_forward.protocol ~target:63 ~metric:Topology.Hypercube.hamming)
+    ~rounds:10
+    ~start:(fun e -> Netsim.Greedy_forward.start e ~source:0);
+  rows_intact "random-walk" g (Netsim.Random_walk.protocol ~target:63) ~rounds:40
+    ~start:(fun e -> Netsim.Random_walk.start e ~source:0);
+  let n = 4 in
+  rows_intact "butterfly" (Topology.Butterfly.graph n)
+    (Netsim.Butterfly_route.protocol ~n) ~rounds:20 ~start:(fun e ->
+      Netsim.Butterfly_route.inject_permutation (Prng.Stream.create 3L) e ~n
+        ~passes:2)
+
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
 
@@ -614,6 +906,8 @@ let () =
           case "injection" test_engine_injection_and_delivery;
           case "loss on closed links" test_engine_message_loss_on_closed_links;
           case "determinism" test_engine_determinism;
+          case "golden counts" test_engine_golden_counts;
+          case "snapshot key set" test_engine_snapshot_key_set;
         ] );
       ( "flood",
         [
@@ -655,6 +949,7 @@ let () =
         [
           case "non-neighbour probe raises" test_probe_non_neighbour_raises;
           case "inject delivers at round 1" test_inject_delivers_at_round_one;
+          case "neighbour rows untouched" test_api_neighbors_untouched;
         ] );
       ( "churn",
         [

@@ -38,6 +38,32 @@ let test_metrics_basics () =
   Alcotest.(check int) "hist count" 2 (Obs.Metrics.histogram_count s "h");
   Alcotest.(check int) "hist sum" 8 (Obs.Metrics.histogram_sum s "h")
 
+(* Handles register their name on the first bump, share one cell per
+   name (with each other and with by-name increments), and refuse a
+   histogram name. *)
+let test_metrics_handles () =
+  let r = Obs.Metrics.create () in
+  let a = Obs.Metrics.handle r "a" and a' = Obs.Metrics.handle r "a" in
+  Alcotest.(check (list (pair string int)))
+    "unbumped handle registers nothing" []
+    (Obs.Metrics.counters (Obs.Metrics.snapshot r));
+  Obs.Metrics.incr r "a";
+  Obs.Metrics.bump a;
+  Obs.Metrics.bump a';
+  Obs.Metrics.bump a;
+  Alcotest.(check int) "read" 4 (Obs.Metrics.read a');
+  Alcotest.(check int) "peek" 4 (Obs.Metrics.peek r "a");
+  Obs.Metrics.add r "b" 2;
+  let b = Obs.Metrics.handle r "b" in
+  Obs.Metrics.bump b;
+  Alcotest.(check (list (pair string int)))
+    "one cell per name" [ ("a", 4); ("b", 3) ]
+    (Obs.Metrics.counters (Obs.Metrics.snapshot r));
+  Obs.Metrics.observe r "h" 1;
+  Alcotest.check_raises "histogram name"
+    (Invalid_argument "Metrics.handle: h is a histogram") (fun () ->
+      ignore (Obs.Metrics.handle r "h" : Obs.Metrics.handle))
+
 let test_metrics_merge_commutes () =
   let build pairs values =
     let r = Obs.Metrics.create () in
@@ -1126,6 +1152,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "basics" `Quick test_metrics_basics;
+          Alcotest.test_case "handles" `Quick test_metrics_handles;
           Alcotest.test_case "merge commutes" `Quick test_metrics_merge_commutes;
           Alcotest.test_case "json schema" `Quick test_metrics_json_schema;
           Alcotest.test_case "trial metrics" `Quick test_trial_metrics;
